@@ -98,6 +98,48 @@ BENCHMARK_CAPTURE(BM_ConvForward, naive, "naive")->Arg(16)->Arg(32);
 BENCHMARK_CAPTURE(BM_ConvForward, blocked, "blocked")->Arg(16)->Arg(32);
 BENCHMARK_CAPTURE(BM_ConvForward, simd, "simd")->Arg(16)->Arg(32);
 
+// The six 3x3 convolutions of the zoo model (vgg8 at width 0.25 on 32x32
+// inputs), the shapes every robustness sweep and the serving path run,
+// through Engine::conv2d_forward with bias. Args: layer index, batch (4 for
+// the small attack batches, 64 for smoothing votes and training).
+struct ZooConv {
+  int64_t in_c, out_c, size;
+};
+constexpr ZooConv kZooConvs[] = {{3, 16, 32},  {16, 16, 32}, {16, 32, 16},
+                                 {32, 32, 16}, {32, 64, 8},  {64, 64, 8}};
+
+void BM_ConvZooVgg8(benchmark::State& state, const char* engine_spec) {
+  const ZooConv& layer = kZooConvs[state.range(0)];
+  const int64_t batch = state.range(1);
+  const core::EnginePtr engine = core::make_engine(engine_spec);
+  const ConvGeom g{layer.in_c, layer.size, layer.size, 3, 3, 1, 1};
+  RandomEngine rng(17);
+  auto uniform = [&](int64_t count) {
+    std::vector<float> v(static_cast<size_t>(count));
+    for (auto& x : v) x = rng.uniform(-1.f, 1.f);
+    return v;
+  };
+  const auto x = uniform(batch * g.in_c * g.in_h * g.in_w);
+  const auto w = uniform(layer.out_c * g.col_rows());
+  const auto b = uniform(layer.out_c);
+  std::vector<float> y(static_cast<size_t>(batch * layer.out_c * g.col_cols()));
+  for (auto _ : state) {
+    engine->conv2d_forward(g, batch, x.data(), layer.out_c, w.data(), b.data(),
+                           y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * layer.out_c *
+                          g.col_rows() * g.col_cols() * batch);
+  state.SetLabel(std::to_string(layer.in_c) + "->" +
+                 std::to_string(layer.out_c) + " @" +
+                 std::to_string(layer.size) + "^2");
+}
+BENCHMARK_CAPTURE(BM_ConvZooVgg8, blocked, "blocked")
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {4, 64}});
+BENCHMARK_CAPTURE(BM_ConvZooVgg8, simd, "simd")
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {4, 64}});
+
 void BM_Im2col(benchmark::State& state) {
   ConvGeom g{16, 32, 32, 3, 3, 1, 1};
   RandomEngine rng(3);

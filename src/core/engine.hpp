@@ -72,6 +72,8 @@ class Engine {
   // contiguous; `bias` is [out_c] or nullptr; `out` is [batch, out_c,
   // oh, ow]. Chunking never changes results: each output element's
   // accumulation order depends only on the engine's k-loop order.
+  // SimdEngine overrides this with an implicit im2col that needs no column
+  // or product buffer (gemm_simd.hpp).
   virtual void conv2d_forward(const ConvGeom& g, int64_t batch,
                               const float* input, int64_t out_c,
                               const float* weights, const float* bias,

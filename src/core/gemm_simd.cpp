@@ -1,6 +1,7 @@
 #include "core/gemm_simd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -315,31 +316,105 @@ void pack_a(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda,
   }
 }
 
-// Packs op(B) into ceil(n/nr) panels of nr columns (dst[p*nr + j] =
-// opB[p][j0+j]), zero-padded like pack_a.
-void pack_b(bool trans_b, int64_t k, int64_t n, const float* b, int64_t ldb,
-            int64_t nr, float* out) {
-  const int64_t panels = (n + nr - 1) / nr;
-  for (int64_t pj = 0; pj < panels; ++pj) {
-    const int64_t j0 = pj * nr;
-    const int64_t cols = std::min(nr, n - j0);
-    float* dst = out + pj * nr * k;
-    if (!trans_b) {
-      for (int64_t p = 0; p < k; ++p) {
-        const float* src = b + p * ldb + j0;
-        for (int64_t j = 0; j < nr; ++j) {
-          dst[p * nr + j] = j < cols ? src[j] : 0.f;
+// Packs the nr-column panel of op(B) that starts at column j0
+// (dst[p*nr + j] = opB[p][j0+j]), zero-padded past column n like pack_a.
+void pack_b_panel(bool trans_b, int64_t k, int64_t n, const float* b,
+                  int64_t ldb, int64_t j0, int64_t nr, float* dst) {
+  const int64_t cols = std::min(nr, n - j0);
+  if (!trans_b) {
+    for (int64_t p = 0; p < k; ++p) {
+      const float* src = b + p * ldb + j0;
+      float* row = dst + p * nr;
+      std::copy(src, src + cols, row);
+      std::fill(row + cols, row + nr, 0.f);
+    }
+    return;
+  }
+  for (int64_t j = 0; j < cols; ++j) {
+    const float* src = b + (j0 + j) * ldb;
+    for (int64_t p = 0; p < k; ++p) dst[p * nr + j] = src[p];
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    std::fill(dst + p * nr + cols, dst + (p + 1) * nr, 0.f);
+  }
+}
+
+constexpr int64_t kMaxNr = 16;  // widest instantiated tile (see nr_index)
+
+// Implicit im2col: packs the nr-pixel panel that starts at output pixel j0
+// of one sample's column matrix straight from its [in_c, in_h, in_w] input,
+// dst[p*nr + j] = cols[p][j0 + j] with p = (c, kh, kw) — the values
+// im2col_ld would store, zero-padded past the last pixel. The panel is cut
+// into runs of pixels on one output row; at stride 1 the in-bounds part of
+// a run is one memcpy between zero-filled borders.
+void pack_conv_panel(const ConvGeom& g, const float* input, int64_t j0,
+                     int64_t nr, float* dst) {
+  struct Run {
+    int64_t oy = 0, ox = 0, len = 0, j = 0;
+  };
+  std::array<Run, kMaxNr> runs{};
+  int64_t nruns = 0;
+  const int64_t ow = g.out_w();
+  const int64_t cols = std::min(nr, g.col_cols() - j0);
+  for (int64_t j = 0; j < cols;) {
+    const int64_t oy = (j0 + j) / ow, ox = (j0 + j) % ow;
+    const int64_t len = std::min(ow - ox, cols - j);
+    runs[static_cast<size_t>(nruns++)] = Run{oy, ox, len, j};
+    j += len;
+  }
+
+  const int64_t plane = g.in_h * g.in_w;
+  float* row = dst;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    const float* chan = input + c * plane;
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw, row += nr) {
+        for (int64_t r = 0; r < nruns; ++r) {
+          const Run& run = runs[static_cast<size_t>(r)];
+          float* d = row + run.j;
+          const int64_t iy = run.oy * g.stride + kh - g.pad;
+          if (iy < 0 || iy >= g.in_h) {
+            std::fill(d, d + run.len, 0.f);
+            continue;
+          }
+          const float* src = chan + iy * g.in_w;
+          const int64_t ix0 = run.ox * g.stride + kw - g.pad;
+          if (g.stride == 1) {
+            // Pixels t in [lo, hi) read src[ix0 + t]; the rest are padding.
+            const int64_t lo = std::clamp<int64_t>(-ix0, 0, run.len);
+            const int64_t hi = std::clamp<int64_t>(g.in_w - ix0, lo, run.len);
+            std::fill(d, d + lo, 0.f);
+            if (hi > lo) {
+              std::memcpy(d + lo, src + (ix0 + lo),
+                          static_cast<size_t>(hi - lo) * sizeof(float));
+            }
+            std::fill(d + hi, d + run.len, 0.f);
+          } else {
+            for (int64_t t = 0; t < run.len; ++t) {
+              const int64_t ix = ix0 + t * g.stride;
+              d[t] = ix >= 0 && ix < g.in_w ? src[ix] : 0.f;
+            }
+          }
         }
-      }
-    } else {
-      for (int64_t p = 0; p < k; ++p) {
-        for (int64_t j = 0; j < nr; ++j) {
-          dst[p * nr + j] = j < cols ? b[(j0 + j) * ldb + p] : 0.f;
-        }
+        std::fill(row + cols, row + nr, 0.f);
       }
     }
   }
 }
+
+// Sweeps every mr-row panel of the packed A over one packed B panel while
+// the B panel sits in cache: C[i0 : i0+mr, 0 : nr_eff] += alpha * A_i0 * B.
+void sweep_a_panels(MicroKernelFn kern, int64_t m, int64_t k, int64_t mr,
+                    const float* ap, const float* bp, float* c, int64_t ldc,
+                    int64_t nr_eff, float alpha) {
+  for (int64_t i0 = 0; i0 < m; i0 += mr) {
+    kern(k, ap + i0 * k, bp, c + i0 * ldc, ldc, std::min(mr, m - i0), nr_eff,
+         alpha);
+  }
+}
+
+// Products below this many multiply-adds stay on the calling thread.
+constexpr int64_t kParallelMacs = int64_t{1} << 16;
 
 }  // namespace
 
@@ -379,37 +454,77 @@ void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
   if (m == 0 || n == 0 || k == 0 || alpha == 0.f) return;
 
   const int64_t mr = cfg_.mr, nr = cfg_.nr;
-  const int64_t mpanels = (m + mr - 1) / mr;
-  const int64_t npanels = (n + nr - 1) / nr;
-  std::vector<float> ap(static_cast<size_t>(mpanels * mr * k));
-  std::vector<float> bp(static_cast<size_t>(npanels * nr * k));
+  std::vector<float> ap(static_cast<size_t>((m + mr - 1) / mr * mr * k));
   pack_a(trans_a, m, k, a, lda, mr, ap.data());
-  pack_b(trans_b, k, n, b, ldb, nr, bp.data());
   const MicroKernelFn kern = pick_kernel(mr_index(mr), nr_index(nr));
 
+  // B-panel-outer: A is packed once; each task packs one k x nr column
+  // panel of op(B) into its own scratch and sweeps every A panel over it.
   auto run = [&](int64_t panel_begin, int64_t panel_end) {
-    for (int64_t pi = panel_begin; pi < panel_end; ++pi) {
-      const int64_t i0 = pi * mr;
-      const int64_t mr_eff = std::min(mr, m - i0);
-      const float* apanel = ap.data() + pi * mr * k;
-      for (int64_t pj = 0; pj < npanels; ++pj) {
-        const int64_t j0 = pj * nr;
-        kern(k, apanel, bp.data() + pj * nr * k, c + i0 * ldc + j0, ldc,
-             mr_eff, std::min(nr, n - j0), alpha);
-      }
+    std::vector<float> bp(static_cast<size_t>(k * nr));
+    for (int64_t pj = panel_begin; pj < panel_end; ++pj) {
+      const int64_t j0 = pj * nr;
+      pack_b_panel(trans_b, k, n, b, ldb, j0, nr, bp.data());
+      sweep_a_panels(kern, m, k, mr, ap.data(), bp.data(), c + j0, ldc,
+                     std::min(nr, n - j0), alpha);
     }
   };
 
-  // Row panels write disjoint C rows and each element's accumulation order
-  // is the k order regardless of the panel split, so any thread count gives
-  // bit-identical results. threads=1 forces serial; small products stay
-  // serial to skip synchronization overhead.
-  const int64_t flops = m * n * k;
-  if (cfg_.threads == 1 || flops < (1 << 16)) {
-    run(0, mpanels);
+  // Column panels write disjoint C columns and each element's accumulation
+  // order is the k order regardless of the split, so any thread count gives
+  // bit-identical results. threads=1 forces serial.
+  const int64_t npanels = (n + nr - 1) / nr;
+  if (cfg_.threads == 1 || m * n * k < kParallelMacs) {
+    run(0, npanels);
     return;
   }
-  parallel_for(mpanels, run);
+  parallel_for(npanels, run);
+}
+
+void SimdEngine::conv2d_forward(const ConvGeom& g, int64_t batch,
+                                const float* input, int64_t out_c,
+                                const float* weights, const float* bias,
+                                float* out) const {
+  const int64_t ohw = g.col_cols();
+  const int64_t k = g.col_rows();
+  if (batch == 0 || ohw == 0 || out_c == 0) return;
+
+  const int64_t mr = cfg_.mr, nr = cfg_.nr;
+  std::vector<float> ap(static_cast<size_t>((out_c + mr - 1) / mr * mr * k));
+  pack_a(false, out_c, k, weights, k, mr, ap.data());
+  const MicroKernelFn kern = pick_kernel(mr_index(mr), nr_index(nr));
+  const int64_t in_stride = g.in_c * g.in_h * g.in_w;
+  const int64_t pix_panels = (ohw + nr - 1) / nr;
+
+  // One task = one (sample, nr-pixel panel): pack the panel from the input,
+  // pre-fill its [out_c x nr] window of the sample's [out_c, oh*ow] output
+  // with the bias, and sweep every weight panel over it with ldc = oh*ow.
+  auto run = [&](int64_t task_begin, int64_t task_end) {
+    std::vector<float> bp(static_cast<size_t>(k * nr));
+    for (int64_t t = task_begin; t < task_end; ++t) {
+      const int64_t s = t / pix_panels;
+      const int64_t j0 = (t % pix_panels) * nr;
+      const int64_t nr_eff = std::min(nr, ohw - j0);
+      pack_conv_panel(g, input + s * in_stride, j0, nr, bp.data());
+      float* c = out + s * out_c * ohw + j0;
+      for (int64_t oc = 0; oc < out_c; ++oc) {
+        // The kernel adds its register sum once: acc + bias, one rounding,
+        // as in the base lowering's (acc + 0) + bias. The + 0.f turns a -0
+        // bias into +0 so that even the sign of a zero result agrees.
+        const float init = bias != nullptr ? bias[oc] + 0.f : 0.f;
+        std::fill(c + oc * ohw, c + oc * ohw + nr_eff, init);
+      }
+      sweep_a_panels(kern, out_c, k, mr, ap.data(), bp.data(), c, ohw, nr_eff,
+                     1.f);
+    }
+  };
+
+  const int64_t tasks = batch * pix_panels;
+  if (cfg_.threads == 1 || out_c * k * ohw * batch < kParallelMacs) {
+    run(0, tasks);
+    return;
+  }
+  parallel_for(tasks, run);
 }
 
 void SimdEngine::gemv(bool trans_a, int64_t m, int64_t n, float alpha,

@@ -2,7 +2,12 @@
 //
 // The micro-kernel keeps an MR x NR accumulator tile in registers across the
 // whole k loop, reading A from MR-wide k-major packed panels and B from
-// NR-wide packed panels. The kernel body is written with GCC vector
+// NR-wide packed panels. Loop order is B-panel-outer (Goto & van de Geijn):
+// A is packed once, then each task packs one k x NR panel of B into its own
+// scratch and sweeps every A panel over it while it sits in cache; tasks
+// are split over column panels. The convolution forward packs those B
+// panels straight from the NCHW input (implicit im2col), so it needs no
+// column or product buffer. The kernel body is written with GCC vector
 // extensions (8-float lanes), so one source compiles everywhere:
 //
 //   * x86-64: a second copy of every micro-kernel is built with
@@ -39,6 +44,15 @@ class SimdEngine : public Engine {
   void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             float alpha, const float* a, int64_t lda, const float* b,
             int64_t ldb, float beta, float* c, int64_t ldc) const override;
+
+  // Implicit-im2col convolution: each task is one (sample, NR-pixel panel);
+  // it packs the panel from the input, pre-fills its output window with the
+  // bias and writes micro-tiles straight into [batch, out_c, oh, ow]. Needs
+  // O(k * NR) scratch per task and is bit-identical to the base
+  // Engine::conv2d_forward lowering on this engine.
+  void conv2d_forward(const ConvGeom& g, int64_t batch, const float* input,
+                      int64_t out_c, const float* weights, const float* bias,
+                      float* out) const override;
 
   // Vectorized gemv: lane-parallel accumulation (see the determinism note in
   // engine.hpp — per spec the lane split is fixed, so results are

@@ -1,7 +1,7 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
 
 namespace rhw {
 
@@ -33,14 +33,14 @@ void ThreadPool::worker_loop() {
       std::unique_lock lock(mutex_);
       cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.back());
+      task = queue_.back();
       queue_.pop_back();
     }
-    task.fn(task.begin, task.end);
-    {
-      std::lock_guard lock(mutex_);
-      if (--outstanding_ == 0) cv_done_.notify_all();
-    }
+    (*task.fn)(task.begin, task.end);
+    // Notify while holding the lock: once pending reaches 0 the caller may
+    // return and destroy the latch.
+    std::lock_guard lock(mutex_);
+    if (--task.latch->pending == 0) task.latch->done.notify_all();
   }
 }
 
@@ -55,23 +55,33 @@ void ThreadPool::parallel_for(int64_t n,
   const int64_t chunks = std::min<int64_t>(workers + 1, n);
   const int64_t step = (n + chunks - 1) / chunks;
 
-  // The calling thread takes the first chunk itself; the rest go to the pool.
+  // The calling thread takes the first chunk itself; the rest go to the pool
+  // and count down this call's latch.
+  Latch latch;
   {
     std::lock_guard lock(mutex_);
     for (int64_t c = 1; c < chunks; ++c) {
       const int64_t b = c * step;
       const int64_t e = std::min<int64_t>(n, b + step);
       if (b >= e) continue;
-      queue_.push_back(Task{fn, b, e});
-      ++outstanding_;
+      queue_.push_back(Task{&fn, b, e, &latch});
+      ++latch.pending;
     }
   }
   cv_task_.notify_all();
-  fn(0, std::min<int64_t>(step, n));
+  // Queued chunks point at fn and the latch, so wait for them even when the
+  // caller's own chunk throws.
+  std::exception_ptr error;
+  try {
+    fn(0, std::min<int64_t>(step, n));
+  } catch (...) {
+    error = std::current_exception();
+  }
   {
     std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [this] { return outstanding_ == 0; });
+    latch.done.wait(lock, [&latch] { return latch.pending == 0; });
   }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {

@@ -25,16 +25,25 @@ class ThreadPool {
 
   // Runs fn(chunk_begin, chunk_end) over [0, n) split into roughly equal
   // contiguous chunks, one per worker (plus the calling thread). Blocks until
-  // every chunk completes. Reentrant calls from inside a worker fall back to
-  // serial execution to avoid deadlock.
+  // every chunk of *this call* completes: each call waits on its own
+  // completion latch, so concurrent callers (serve lanes, a sweep's caller
+  // lane) never wait on each other's chunks. Reentrant calls from inside a
+  // worker fall back to serial execution to avoid deadlock.
   void parallel_for(int64_t n,
                     const std::function<void(int64_t, int64_t)>& fn);
 
  private:
+  // One per parallel_for call: the count of its chunks still queued or
+  // running. Guarded by mutex_.
+  struct Latch {
+    int64_t pending = 0;
+    std::condition_variable done;
+  };
   struct Task {
-    std::function<void(int64_t, int64_t)> fn;
+    const std::function<void(int64_t, int64_t)>* fn = nullptr;
     int64_t begin = 0;
     int64_t end = 0;
+    Latch* latch = nullptr;
   };
 
   void worker_loop();
@@ -42,9 +51,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_done_;
   std::vector<Task> queue_;
-  int64_t outstanding_ = 0;
   bool stop_ = false;
 };
 

@@ -6,7 +6,6 @@
 // methodology's "sram_selected") and render results.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,11 +24,6 @@
 namespace rhw::exp {
 
 namespace {
-
-bool fast_mode() {
-  const char* env = std::getenv("RHW_FAST");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
 
 // -- Fig. 4 methodology plumbing (shared by fig5 / table1 / table2) -----------
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace rhw::exp {
 
@@ -84,13 +85,16 @@ std::string bench_out_dir() {
   return dir;
 }
 
+bool fast_mode() {
+  const char* env = std::getenv("RHW_FAST");
+  return env != nullptr && *env != '\0' && std::string_view(env) != "0";
+}
+
 int64_t eval_count(int64_t default_count) {
   if (const char* env = std::getenv("RHW_EVAL_COUNT"); env && *env) {
     return std::max<int64_t>(1, std::atoll(env));
   }
-  if (const char* fast = std::getenv("RHW_FAST"); fast && fast[0] == '1') {
-    return std::max<int64_t>(1, default_count / 4);
-  }
+  if (fast_mode()) return std::max<int64_t>(1, default_count / 4);
   return default_count;
 }
 

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -241,6 +242,38 @@ INSTANTIATE_TEST_SUITE_P(
                                          "simd:threads=1"),
                        ::testing::Bool(), ::testing::Bool()));
 
+// Few rows, many column panels: the shape where the B-panel-outer split has
+// the most tasks. Pooled and serial runs must agree bit for bit, for every
+// transpose and with loose leading dimensions (ldb > n on the plain path).
+TEST(EngineParity, SimdSmallMLargeNBitEqualAcrossThreads) {
+  const std::pair<const char*, const char*> engines[] = {
+      {"simd:mr=6,nr=16,threads=0", "simd:mr=6,nr=16,threads=1"},
+      {"simd:mr=1,nr=8,threads=0", "simd:mr=1,nr=8,threads=1"},
+      {"simd:mr=8,nr=16,threads=0", "simd:mr=8,nr=16,threads=1"}};
+  const int64_t m = 3, n = 1000, k = 77;
+  RandomEngine rng(71);
+  for (const auto& [pooled_spec, serial_spec] : engines) {
+    auto pooled = core::make_engine(pooled_spec);
+    auto serial = core::make_engine(serial_spec);
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        const int64_t lda = (ta ? m : k) + 3;
+        const int64_t ldb = (tb ? k : n) + 5;
+        const int64_t ldc = n + 2;
+        const auto a = random_matrix(ta ? k : m, lda, rng);
+        const auto b = random_matrix(tb ? n : k, ldb, rng);
+        std::vector<float> c(static_cast<size_t>(m * ldc), 0.5f);
+        std::vector<float> c_serial = c;
+        pooled->gemm(ta, tb, m, n, k, 0.7f, a.data(), lda, b.data(), ldb, 0.3f,
+                     c.data(), ldc);
+        serial->gemm(ta, tb, m, n, k, 0.7f, a.data(), lda, b.data(), ldb,
+                     0.3f, c_serial.data(), ldc);
+        ASSERT_EQ(c, c_serial) << pooled_spec << " ta=" << ta << " tb=" << tb;
+      }
+    }
+  }
+}
+
 TEST(EngineParity, SimdGemvMatchesNaive) {
   auto simd = core::make_engine("simd");
   auto naive = core::make_engine("naive");
@@ -354,6 +387,72 @@ TEST(EngineConv, ChunkingInvariance) {
                            single.data() + i * per_sample);
   }
   ASSERT_EQ(whole, single);
+}
+
+// The implicit-im2col forward must reproduce the base lowering (im2col +
+// one GEMM + bias epilogue) on the same engine bit for bit: same packed
+// values, same k order, one rounding for acc + bias. Shapes cover stride 2,
+// pad 0 and 2, 1x1 and 5x5 kernels, non-square inputs, ow < nr (a panel
+// spans output rows), oh*ow not a multiple of nr and out_c not a multiple of
+// mr, for every instantiated tile, pooled and serial.
+TEST(EngineConv, SimdImplicitIm2colBitEqualsBaseLowering) {
+  struct Case {
+    int64_t in_c, in_h, in_w, kernel, stride, pad, out_c;
+  };
+  const Case cases[] = {
+      {3, 9, 9, 3, 1, 1, 7},    // the zoo's 3x3 same conv, 81 pixels
+      {4, 11, 7, 3, 2, 1, 6},   // stride 2, non-square
+      {5, 6, 10, 1, 1, 0, 13},  // 1x1, pad 0
+      {2, 12, 9, 5, 1, 2, 9},   // 5x5, pad 2
+      {3, 7, 5, 5, 2, 2, 4},    // 5x5, stride 2, pad 2, ow = 3
+      {2, 4, 3, 3, 1, 0, 3},    // pad 0, ow = 1
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t mr : {1, 2, 4, 6, 8}) {
+    for (int64_t nr : {8, 16}) {
+      std::vector<float> pooled_out;
+      for (int64_t threads : {0, 1}) {
+        const auto engine = core::make_engine(
+            "simd:mr=" + std::to_string(mr) + ",nr=" + std::to_string(nr) +
+            ",threads=" + std::to_string(threads));
+        std::vector<float> all_out;
+        RandomEngine rng(81);
+        for (const Case& cs : cases) {
+          const ConvGeom g{cs.in_c,  cs.in_h,   cs.in_w, cs.kernel,
+                           cs.kernel, cs.stride, cs.pad};
+          for (int64_t batch : {1, 3, 17}) {
+            const auto input =
+                random_matrix(batch, g.in_c * g.in_h * g.in_w, rng);
+            const auto weights = random_matrix(cs.out_c, g.col_rows(), rng);
+            const auto bias = random_matrix(cs.out_c, 1, rng);
+            const size_t out_sz =
+                static_cast<size_t>(batch * cs.out_c * g.col_cols());
+            for (const float* b :
+                 {bias.data(), static_cast<const float*>(nullptr)}) {
+              std::vector<float> out(out_sz, nan), ref(out_sz, nan);
+              engine->conv2d_forward(g, batch, input.data(), cs.out_c,
+                                     weights.data(), b, out.data());
+              engine->core::Engine::conv2d_forward(g, batch, input.data(),
+                                                   cs.out_c, weights.data(),
+                                                   b, ref.data());
+              ASSERT_EQ(out, ref)
+                  << engine->spec() << " case in_c=" << cs.in_c
+                  << " kernel=" << cs.kernel << " stride=" << cs.stride
+                  << " pad=" << cs.pad << " batch=" << batch
+                  << (b ? " with bias" : " no bias");
+              all_out.insert(all_out.end(), out.begin(), out.end());
+            }
+          }
+        }
+        if (threads == 0) {
+          pooled_out = std::move(all_out);
+        } else {
+          ASSERT_EQ(pooled_out, all_out) << "threads=0 vs threads=1, mr=" << mr
+                                         << " nr=" << nr;
+        }
+      }
+    }
+  }
 }
 
 // -- active-engine selection --------------------------------------------------

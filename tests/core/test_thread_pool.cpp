@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace rhw {
@@ -49,6 +52,38 @@ TEST(ThreadPool, GlobalPoolWorks) {
   std::atomic<int64_t> sum{0};
   parallel_for(12345, [&](int64_t b, int64_t e) { sum += e - b; });
   EXPECT_EQ(sum.load(), 12345);
+}
+
+// Each parallel_for waits on its own chunks only: caller B must return while
+// caller A's pool chunk is still parked, instead of waiting on a pool-wide
+// outstanding count that includes A's chunk.
+TEST(ThreadPool, ConcurrentCallerDoesNotWaitForAnotherCallersChunk) {
+  ThreadPool pool(2);
+  std::promise<void> a_parked;
+  std::promise<void> release_a;
+  std::future<void> a_parked_future = a_parked.get_future();
+  std::shared_future<void> release = release_a.get_future().share();
+  std::thread caller_a([&] {
+    pool.parallel_for(2, [&](int64_t begin, int64_t) {
+      if (begin == 1) {
+        a_parked.set_value();
+        release.wait();
+      }
+    });
+  });
+  a_parked_future.wait();
+
+  auto caller_b = std::async(std::launch::async, [&] {
+    std::atomic<int64_t> sum{0};
+    pool.parallel_for(2, [&](int64_t b, int64_t e) { sum += e - b; });
+    return sum.load();
+  });
+  const bool b_returned =
+      caller_b.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release_a.set_value();
+  caller_a.join();
+  ASSERT_TRUE(b_returned) << "caller B waited for caller A's parked chunk";
+  EXPECT_EQ(caller_b.get(), 2);
 }
 
 TEST(ThreadPool, ManySequentialDispatches) {

@@ -8,22 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/al_runner.hpp"
+#include "exp/table_printer.hpp"
 #include "hw/registry.hpp"
 #include "hw/xbar_backend.hpp"
 
 namespace rhw::exp {
 namespace {
-
-bool fast_mode() {
-  const char* env = std::getenv("RHW_FAST");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
 
 TEST(ExperimentRegistry, RegistersEveryFigureTableAndExample) {
   auto& registry = ExperimentRegistry::instance();
