@@ -70,7 +70,7 @@ int main() {
   exp::TablePrinter xtable({"tile", "tiles", "E/MVM-pass (nJ)",
                             "per-weight (fJ)", "tile area (um2)"});
   for (int64_t size : {16, 32, 64}) {
-    models::Model mapped = bench::clone_model(model);
+    models::Model mapped = models::clone_model(model);
     xbar::XbarMapConfig cfg;
     cfg.spec.rows = size;
     cfg.spec.cols = size;

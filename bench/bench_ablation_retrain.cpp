@@ -33,7 +33,7 @@ int main() {
   const auto sw = attacks::evaluate_attack(*model.net, *model.net, wb.eval_set,
                                            acfg);
 
-  models::Model noisy = bench::clone_model(model);
+  models::Model noisy = models::clone_model(model);
   sram::apply_selection(noisy, selection, vdd);
   const auto before = attacks::evaluate_attack(*model.net, *noisy.net,
                                                wb.eval_set, acfg);

@@ -1,8 +1,8 @@
 // Fig. 8(b)-(c): thin wrapper over the "fig8bc" experiment preset —
-// equivalently: `rhw_run fig8bc`. RHW_FAST=1 switches the preset to its
-// VGG8/synth-c10 small-model pipeline so CI can regenerate the artifact
-// (same schema and arm structure as the full figure). Extra arguments pass
-// through as overrides.
+// equivalently: `rhw_run fig8bc`. Extra arguments pass through as
+// overrides; CI regenerates the artifact on the small-model pipeline with
+// `model=vgg8 dataset=synth-c10 eval_count=64` (same schema and arm
+// structure as the full figure, and the artifact stamps the overrides).
 #include <string>
 #include <vector>
 

@@ -3,7 +3,8 @@
 // rate through serve::Server (micro-batching, per-lane backend replicas)
 // under deterministic open-loop Poisson load, and writes the
 // latency-vs-offered-load curve to BENCH_serve.json (rhw-serve-v1,
-// docs/SERVING.md). RHW_FAST=1 shrinks it to the CI pipeline.
+// docs/SERVING.md). Extra arguments pass through as overrides; CI runs it
+// untrained and shorter with `train=none requests=64`.
 #include <string>
 #include <vector>
 

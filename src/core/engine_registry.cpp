@@ -137,6 +137,7 @@ const Engine& active_engine() {
   std::lock_guard<std::mutex> lock(g_active_mutex);
   engine = g_active.load(std::memory_order_relaxed);
   if (engine == nullptr) {
+    // rhw-lint: allow(env) — CI's engine matrix sets it until simd is default
     const char* env = std::getenv("RHW_ENGINE");
     pinned_engines().push_back(
         make_engine(env != nullptr && *env != '\0' ? env : "blocked"));

@@ -121,7 +121,7 @@ struct ExperimentSpec {
   int64_t requests = 256;     // arrivals per (arm, qps) point
   int64_t batch_max = 16;     // micro-batch size cap
   int64_t linger_us = 2000;   // max queue wait of the oldest request
-  int64_t lanes = 0;          // worker lanes; 0 = $RHW_SERVE_LANES / cores
+  int64_t lanes = 0;          // worker lanes; 0 = pool size + 1
 
   // Applies one "key=value" / "axis+=item" override token. Throws
   // std::invalid_argument naming the offending token (key, item, or value)

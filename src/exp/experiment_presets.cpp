@@ -113,7 +113,7 @@ sram::SelectionResult run_methodology(PanelContext& pc) {
     return result;
   }
   sram::SelectorConfig cfg;
-  cfg.eval_count = eval_count(192);
+  cfg.eval_count = 192;
   // Probe strength where the baseline attack is meaningful: the 100-class
   // models sit much closer to their decision boundaries, so the sweep uses a
   // gentler epsilon there (at 0.1 their baseline adversarial accuracy is
@@ -476,19 +476,17 @@ class Fig8aProgram final : public ExperimentProgram {
 // -- fig8bc -------------------------------------------------------------------
 
 ExperimentSpec fig8bc_spec() {
-  const bool fast = fast_mode();
   ExperimentSpec s;
   s.tag = "fig8bc_defense_comparison";
-  s.title = std::string("Fig. 8(b)-(c): crossbar defense vs 4-bit "
-                        "discretization vs QUANOS vs randomized smoothing") +
-            (fast ? " [RHW_FAST]" : "");
+  s.title =
+      "Fig. 8(b)-(c): crossbar defense vs 4-bit discretization vs QUANOS vs "
+      "randomized smoothing";
   s.subtitle =
       "All defenses evaluated white-box on themselves except SH, whose "
       "adversaries come from the undefended software baseline (the paper's "
       "SH-on-Cross32 configuration). Every arm is a (backend spec, defense "
       "spec) pair.";
-  s.panels.push_back(
-      {fast ? "vgg8" : "vgg16", fast ? "synth-c10" : "synth-c100"});
+  s.panels.push_back({"vgg16", "synth-c100"});
   s.backends.push_back(arm("ideal", "ideal"));
   // Defense 1: crossbar mapping (SH mode, 32x32), via the backend registry.
   s.backends.push_back(arm("x32", "xbar:size=32"));
@@ -546,13 +544,9 @@ class Fig8bcProgram final : public ExperimentProgram {
 // -- fig_cert -----------------------------------------------------------------
 
 ExperimentSpec fig_cert_spec() {
-  const bool fast = fast_mode();
   ExperimentSpec s;
   s.tag = "fig_cert";
-  s.title =
-      std::string(
-          "Certified accuracy vs L2 radius (smooth:sigma over substrates)") +
-      (fast ? " [RHW_FAST]" : "");
+  s.title = "Certified accuracy vs L2 radius (smooth:sigma over substrates)";
   s.subtitle =
       "Each arm wraps a substrate in randomized smoothing at one sigma; its "
       "aggregate row is one (mean certified L2 radius, smoothed clean "
@@ -560,19 +554,13 @@ ExperimentSpec fig_cert_spec() {
       "Clopper-Pearson cert_radius column. Larger sigma certifies a larger "
       "ball at a lower ceiling. dataset= swaps the panel onto any registered "
       "dataset, including +corrupt:... variants (docs/DATASETS.md).";
-  if (fast) {
-    s.panels.push_back({kSmallVgg8, kTinyTrained});
-    s.train = "quick:epochs=4,batch=50";
-  } else {
-    s.panels.push_back({"vgg8", "synth-c10"});
-    s.train = "zoo";
-  }
-  s.trials = fast ? 1 : 3;
-  // alpha=0.05 everywhere: at CI-sized vote counts the default 0.001
-  // makes the Clopper-Pearson lower bound top out below 1/2 (0.001^(1/8)
-  // ~= 0.42), which certifies radius 0 for every arm.
-  const std::string votes =
-      (fast ? "8" : "16") + std::string(",alpha=0.05");
+  s.panels.push_back({"vgg8", "synth-c10"});
+  s.train = "zoo";
+  s.trials = 3;
+  // alpha=0.05 everywhere: at small vote counts the default 0.001 makes the
+  // Clopper-Pearson lower bound top out below 1/2 (0.001^(1/8) ~= 0.42),
+  // which certifies radius 0 for every arm.
+  const std::string votes = "16,alpha=0.05";
   s.backends.push_back(arm("ideal", "ideal"));
   s.backends.push_back(
       arm("s010", "ideal", "smooth:sigma=0.1,samples=" + votes));
@@ -986,7 +974,6 @@ ExperimentSpec serve_smoke_spec() {
 }
 
 ExperimentSpec serve_curve_spec() {
-  const bool fast = fast_mode();
   ExperimentSpec s;
   s.tag = "serve";  // -> BENCH_serve.json
   s.title = "Serving latency vs offered load";
@@ -998,10 +985,10 @@ ExperimentSpec serve_curve_spec() {
       "compute-engine knob (engine=) and batching knobs visibly move.";
   s.serve = true;
   s.panels.push_back({kSmallVgg8, kTinyTrained});
-  s.train = fast ? "none" : "quick:epochs=2,batch=50";
+  s.train = "quick:epochs=2,batch=50";
   s.eval_count = 64;
   s.qps = {100.f, 200.f, 400.f, 800.f, 1600.f, 3200.f};
-  s.requests = fast ? 64 : 192;
+  s.requests = 192;
   s.batch_max = 16;
   s.linger_us = 2000;
   s.backends.push_back(arm("ideal", "ideal"));

@@ -121,11 +121,6 @@ void ExperimentProgram::report(PanelContext& panel) {
 
 namespace {
 
-bool env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
 std::string suffix_before_json(const std::string& path,
                                const std::string& suffix) {
   const size_t ext = path.rfind(".json");
@@ -175,6 +170,7 @@ std::string journal_header(const ExperimentSpec& spec, const RunOptions& run,
 }
 
 size_t env_cell_budget() {
+  // rhw-lint: allow(env) — test-only crash injection for the resume tests
   const char* env = std::getenv("RHW_SWEEP_CELL_BUDGET");
   if (env == nullptr || *env == '\0') return 0;
   return static_cast<size_t>(std::strtoull(env, nullptr, 10));
@@ -212,9 +208,8 @@ PanelContext make_panel(const ExperimentSpec& spec, size_t index) {
     }
     pc.model.net->set_training(false);
   }
-  pc.eval_set = spec.eval_count == 0
-                    ? pc.data.test
-                    : pc.data.test.head(eval_count(spec.eval_count));
+  pc.eval_set = spec.eval_count == 0 ? pc.data.test
+                                     : pc.data.test.head(spec.eval_count);
   return pc;
 }
 
@@ -496,7 +491,7 @@ std::vector<SweepResult> run_experiment(
     std::printf("\n");
     // Verify BEFORE publishing: a run that fails the cross-lane determinism
     // check must not leave an artifact behind for later steps to pick up.
-    if (spec.verify || env_flag("RHW_SWEEP_VERIFY")) {
+    if (spec.verify) {
       verify_serial_parity(pc.grid, result, run);
     }
     result.write_json(out_path, pc.tag);

@@ -143,9 +143,9 @@ std::string dry_run_listing(const ExperimentSpec& spec, size_t shard_index = 0,
 // Resolves `preset`, applies `overrides` in order, validates, runs every
 // panel through SweepEngine, writes the v4 artifacts and renders the
 // program. Lane count comes from $RHW_SWEEP_THREADS (default: one per
-// hardware thread); $RHW_SWEEP_VERIFY=1 (or spec.verify) re-runs each grid
-// serially and fails on any cell mismatch. Throws on invalid input; returns
-// the per-panel results.
+// hardware thread); spec.verify (verify=1) re-runs each grid serially and
+// fails on any cell mismatch. Throws on invalid input; returns the per-panel
+// results.
 //
 // With RunOptions: sharded runs write per-shard artifacts and skip the
 // preset's report/finish hooks (the grid is partial — rhw_merge first);

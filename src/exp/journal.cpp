@@ -1,6 +1,5 @@
 #include "exp/journal.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -10,17 +9,7 @@
 
 namespace rhw::exp {
 
-namespace {
-
 constexpr const char* kJournalSchema = "rhw-journal-v1";
-
-std::string double_token(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::vector<JournalEntry> load_journal(const std::string& path,
                                        const std::string& header) {
@@ -85,23 +74,32 @@ SweepJournal::SweepJournal(const std::string& path, const std::string& header,
     throw std::runtime_error("journal: cannot open " + path + " for writing");
   }
   if (!append) {
-    os_ << "{\"schema\":\"" << kJournalSchema << "\",\"header\":\""
-        << json_escape(header) << "\"}\n";
+    JsonWriter w(os_);
+    w.begin_object();
+    w.field("schema", kJournalSchema);
+    w.field("header", header);
+    w.end_object();
+    os_ << '\n';
     os_.flush();
   }
 }
 
 void SweepJournal::record(const JournalEntry& entry) {
   std::ostringstream line;
+  JsonWriter w(line);
+  w.begin_object();
   if (entry.clean) {
-    line << "{\"type\":\"clean\",\"pool\":\"" << json_escape(entry.pool)
-         << "\",\"trial\":" << entry.trial
-         << ",\"clean\":" << double_token(entry.clean_acc)
-         << ",\"cert\":" << double_token(entry.cert) << "}";
+    w.field("type", "clean");
+    w.field("pool", entry.pool);
+    w.field("trial", static_cast<int64_t>(entry.trial));
+    w.field("clean", entry.clean_acc);
+    w.field("cert", entry.cert);
   } else {
-    line << "{\"type\":\"cell\",\"index\":" << entry.index
-         << ",\"adv\":" << double_token(entry.adv) << "}";
+    w.field("type", "cell");
+    w.field("index", static_cast<uint64_t>(entry.index));
+    w.field("adv", entry.adv);
   }
+  w.end_object();
   const std::lock_guard lock(mu_);
   os_ << line.str() << '\n';
   os_.flush();

@@ -11,10 +11,11 @@
 //   {"type":"clean","pool":"x32","trial":0,"clean":46.875,"cert":0}
 //   {"type":"cell","index":12,"adv":31.25}
 //
-// Doubles are %.17g (bit-exact round-trip): a run resumed from the journal
-// produces an artifact byte-identical to an uninterrupted one. A torn final
-// line (the process died mid-append) fails to parse and is ignored — the one
-// task it recorded simply re-runs.
+// Lines are written by exp::JsonWriter, so doubles are %.17g (bit-exact
+// round-trip): a run resumed from the journal produces an artifact
+// byte-identical to an uninterrupted one. A torn final line (the process died
+// mid-append) fails to parse and is ignored — the one task it recorded simply
+// re-runs; so is a line whose non-finite value was written as null.
 #pragma once
 
 #include <fstream>

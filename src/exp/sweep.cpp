@@ -173,6 +173,7 @@ hw::HardwareBackend* SweepEngine::backend(const std::string& key) const {
 }
 
 unsigned sweep_threads_env(unsigned fallback) {
+  // rhw-lint: allow(env) — lane count only; payloads are lane-invariant
   const char* env = std::getenv("RHW_SWEEP_THREADS");
   if (env == nullptr || *env == '\0') return fallback;
   const long v = std::strtol(env, nullptr, 10);

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <string_view>
 
 namespace rhw::exp {
 
@@ -80,22 +79,10 @@ std::string fmt(double v, int precision) {
 
 std::string bench_out_dir() {
   std::string dir = "bench_out";
+  // rhw-lint: allow(env) — an output path, a deployment setting
   if (const char* env = std::getenv("RHW_BENCH_OUT"); env && *env) dir = env;
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-bool fast_mode() {
-  const char* env = std::getenv("RHW_FAST");
-  return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-}
-
-int64_t eval_count(int64_t default_count) {
-  if (const char* env = std::getenv("RHW_EVAL_COUNT"); env && *env) {
-    return std::max<int64_t>(1, std::atoll(env));
-  }
-  if (fast_mode()) return std::max<int64_t>(1, default_count / 4);
-  return default_count;
 }
 
 }  // namespace rhw::exp

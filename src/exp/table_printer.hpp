@@ -28,13 +28,4 @@ std::string fmt(double v, int precision = 2);
 // Default: $RHW_BENCH_OUT or "bench_out".
 std::string bench_out_dir();
 
-// True when $RHW_FAST is set to anything but "" or "0". The one parsing rule
-// behind every fast-mode switch (the presets' small-model pipeline and
-// eval_count's smaller default).
-bool fast_mode();
-
-// Evaluation-subset size shared by benches: $RHW_EVAL_COUNT, or
-// `default_count` (a quarter of it in fast_mode()).
-int64_t eval_count(int64_t default_count = 256);
-
 }  // namespace rhw::exp

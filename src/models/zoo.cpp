@@ -126,6 +126,7 @@ TrainConfig default_train_config(const std::string& arch,
 }
 
 std::string zoo_cache_dir() {
+  // rhw-lint: allow(env) — a cache path, a deployment setting
   if (const char* env = std::getenv("RHW_ZOO_CACHE"); env && *env) return env;
   return RHW_DEFAULT_CACHE_DIR;
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -51,20 +50,12 @@ struct ArmResult {
 
 }  // namespace
 
-unsigned serve_lanes_env(unsigned fallback) {
-  const char* env = std::getenv("RHW_SERVE_LANES");
-  if (env == nullptr || *env == '\0') return fallback;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<unsigned>(v) : fallback;
-}
-
 void run_serve_panel(const exp::ExperimentSpec& spec, exp::PanelContext& pc,
                      const exp::ExperimentStamp& stamp,
                      const std::string& artifact) {
-  const auto default_lanes =
-      static_cast<unsigned>(rhw::global_pool().size()) + 1;
-  const unsigned lanes = spec.lanes > 0 ? static_cast<unsigned>(spec.lanes)
-                                        : serve_lanes_env(default_lanes);
+  const unsigned lanes =
+      spec.lanes > 0 ? static_cast<unsigned>(spec.lanes)
+                     : static_cast<unsigned>(rhw::global_pool().size()) + 1;
 
   const int64_t eval_n = pc.eval_set.size();
   if (eval_n == 0) {

@@ -22,9 +22,6 @@
 
 namespace rhw::serve {
 
-// Lane count for the serving driver: $RHW_SERVE_LANES, or `fallback`.
-unsigned serve_lanes_env(unsigned fallback);
-
 // Runs one panel of a serve=1 spec (the serving counterpart of the sweep
 // path in run_experiment). `artifact` is the output JSON path.
 void run_serve_panel(const exp::ExperimentSpec& spec, exp::PanelContext& pc,

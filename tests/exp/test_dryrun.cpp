@@ -55,9 +55,9 @@ TEST(ParseRunFlag, MalformedShardValuesThrowNamingTheToken) {
 }
 
 // The goldens: byte-for-byte listings for an unsharded and a sharded
-// dry run. Both presets are env-independent (no RHW_FAST branch), so the
-// listing is a pure function of the preset — any drift in enumeration
-// order, seed derivation, or listing format fails here.
+// dry run. Presets read nothing from the environment, so the listing is a
+// pure function of the preset — any drift in enumeration order, seed
+// derivation, or listing format fails here.
 TEST(DryRunListing, SweepSmokeMatchesGolden) {
   const ExperimentSpec spec =
       ExperimentRegistry::instance().preset("sweep_smoke");

@@ -49,33 +49,6 @@ TEST(TablePrinter, Fmt) {
   EXPECT_EQ(fmt(-0.5, 3), "-0.500");
 }
 
-TEST(TablePrinter, EvalCountEnvOverride) {
-  setenv("RHW_EVAL_COUNT", "37", 1);
-  EXPECT_EQ(eval_count(256), 37);
-  unsetenv("RHW_EVAL_COUNT");
-  setenv("RHW_FAST", "1", 1);
-  EXPECT_EQ(eval_count(256), 64);
-  unsetenv("RHW_FAST");
-  EXPECT_EQ(eval_count(256), 256);
-}
-
-// One rule for every fast-mode switch: any value but "" or "0" turns it on,
-// for the presets and for eval_count alike.
-TEST(TablePrinter, FastModeSharesOneParsingRule) {
-  for (const char* on : {"1", "2", "true", "yes"}) {
-    setenv("RHW_FAST", on, 1);
-    EXPECT_TRUE(fast_mode()) << on;
-    EXPECT_EQ(eval_count(256), 64) << on;
-  }
-  for (const char* off : {"", "0"}) {
-    setenv("RHW_FAST", off, 1);
-    EXPECT_FALSE(fast_mode()) << "'" << off << "'";
-    EXPECT_EQ(eval_count(256), 256) << "'" << off << "'";
-  }
-  unsetenv("RHW_FAST");
-  EXPECT_FALSE(fast_mode());
-}
-
 TEST(AlRunner, EpsilonGridsMatchPaper) {
   const auto fe = fgsm_epsilons();
   ASSERT_EQ(fe.size(), 7u);

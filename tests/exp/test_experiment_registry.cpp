@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/al_runner.hpp"
-#include "exp/table_printer.hpp"
 #include "hw/registry.hpp"
 #include "hw/xbar_backend.hpp"
 
@@ -338,14 +341,8 @@ TEST(ExperimentGolden, Fig5ExpandsToThePreRedesignGrid) {
 
 TEST(ExperimentGolden, Fig8bcExpandsToThePreRedesignGrid) {
   const ExperimentSpec spec = ExperimentRegistry::instance().preset("fig8bc");
-  // The old bench switched model/dataset on RHW_FAST; the preset factory
-  // preserves that.
   ASSERT_EQ(spec.panels.size(), 1u);
-  if (fast_mode()) {
-    EXPECT_EQ(spec.panels[0], (ExperimentPanel{"vgg8", "synth-c10"}));
-  } else {
-    EXPECT_EQ(spec.panels[0], (ExperimentPanel{"vgg16", "synth-c100"}));
-  }
+  EXPECT_EQ(spec.panels[0], (ExperimentPanel{"vgg16", "synth-c100"}));
   const std::vector<ExperimentBackend> backends{
       {"ideal", "ideal", "", false},
       {"x32", "xbar:size=32", "", false},
@@ -401,6 +398,46 @@ TEST(ExperimentGolden, SweepSmokeKeepsTheStochasticAwareArms) {
   EXPECT_EQ(spec.attacks[2].spec, "eot_pgd:steps=2,samples=2");
   EXPECT_EQ(spec.attacks[3].spec, "square:queries=12");
   EXPECT_EQ(spec.attacks[4].spec, "mifgsm:steps=2");
+}
+
+// -- environment independence -------------------------------------------------
+
+// Runs read nothing from the environment that changes results: with the
+// retired RHW_FAST / RHW_EVAL_COUNT switches set, every preset's canonical
+// list and a sweep_smoke payload equal those of a run with both unset.
+TEST(ExperimentRegistry, RetiredEnvSwitchesChangeNothing) {
+  const std::vector<std::string> names{"RHW_FAST", "RHW_EVAL_COUNT"};
+  std::vector<std::optional<std::string>> saved;
+  for (const std::string& name : names) {
+    // rhw-lint: allow(env) — saves the caller's value, restored below
+    const char* old = std::getenv(name.c_str());
+    saved.push_back(old != nullptr ? std::optional<std::string>(old)
+                                   : std::nullopt);
+    unsetenv(name.c_str());
+  }
+  const auto observe = [] {
+    auto& registry = ExperimentRegistry::instance();
+    std::map<std::string, std::vector<std::string>> canonical;
+    for (const std::string& key : registry.keys()) {
+      canonical[key] = registry.preset(key).to_args();
+    }
+    // verify=0: the serial re-check adds time, not coverage, here.
+    std::ostringstream payload;
+    run_experiment("sweep_smoke", {"verify=0"})
+        .at(0)
+        .write_json(payload, "sweep_smoke", /*payload_only=*/true);
+    return std::make_pair(canonical, payload.str());
+  };
+  const auto unset = observe();
+  setenv("RHW_FAST", "1", 1);
+  setenv("RHW_EVAL_COUNT", "3", 1);
+  const auto set = observe();
+  for (size_t i = 0; i < names.size(); ++i) {
+    unsetenv(names[i].c_str());
+    if (saved[i]) setenv(names[i].c_str(), saved[i]->c_str(), 1);
+  }
+  EXPECT_EQ(set.first, unset.first);
+  EXPECT_EQ(set.second, unset.second);
 }
 
 // -- section grammar ----------------------------------------------------------

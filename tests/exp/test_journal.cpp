@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -47,6 +48,17 @@ TEST(Journal, RoundTripsCleanAndCellEntries) {
     cell.adv = 31.25;
     journal.record(cell);
   }
+  // The on-disk lines are a format: resumes read journals written by older
+  // builds, so the bytes are pinned, not just the round trip.
+  std::ifstream is(path);
+  std::stringstream raw;
+  raw << is.rdbuf();
+  EXPECT_EQ(raw.str(),
+            "{\"schema\":\"rhw-journal-v1\",\"header\":\"spec | shard=0/1 | "
+            "panel=t\"}\n"
+            "{\"type\":\"clean\",\"pool\":\"x32\",\"trial\":1,\"clean\":46.875,"
+            "\"cert\":0.12345678901234566}\n"
+            "{\"type\":\"cell\",\"index\":12,\"adv\":31.25}\n");
   const auto entries = load_journal(path, "spec | shard=0/1 | panel=t");
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_TRUE(entries[0].clean);
@@ -82,6 +94,11 @@ TEST(Journal, TornTailIsDroppedNotFatal) {
     JournalEntry cell;
     cell.index = 3;
     cell.adv = 50.0;
+    journal.record(cell);
+    // A non-finite value is written as null, which no entry accepts: the
+    // line stops the replay like a torn tail and its task re-runs.
+    cell.index = 4;
+    cell.adv = std::numeric_limits<double>::quiet_NaN();
     journal.record(cell);
   }
   {

@@ -73,6 +73,28 @@ TEST(RhwLint, WallclockFixtureFlagsWallClockOnly) {
   }
 }
 
+TEST(RhwLint, EnvFixtureFlagsEveryUnallowedRead) {
+  LintStats stats;
+  const auto diags = lint_fixture("env_read.cpp", &stats);
+  const std::string why =
+      "environment read; anything that changes results must be a spec knob "
+      "the artifact stamps, so only paths and test hooks may read the "
+      "environment, each allow-commented with its reason";
+  // Each diagnostic quotes the matched call; spacing does not hide a read.
+  const std::vector<std::pair<size_t, std::string>> expected = {
+      {5, "`getenv(`: " + why},   // rhw-lint: allow(env) — quoted text
+      {6, "`getenv (`: " + why},  // rhw-lint: allow(env) — quoted text
+  };
+  ASSERT_EQ(diags.size(), expected.size());
+  for (size_t i = 0; i < diags.size(); ++i) {
+    EXPECT_EQ(diags[i].file, "env_read.cpp");
+    EXPECT_EQ(diags[i].line, expected[i].first);
+    EXPECT_EQ(diags[i].rule, "env");
+    EXPECT_EQ(diags[i].what, expected[i].second);
+  }
+  EXPECT_EQ(stats.allows_used, 1u);  // line 8, allowed from the line above
+}
+
 TEST(RhwLint, StaleSpecFixtureFlagsExactlyTheStaleLiterals) {
   LintStats stats;
   const auto diags = lint_fixture("stale_spec.cpp", &stats);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -100,15 +99,6 @@ TEST(ServeExperiment, RerunReproducesRequestLevelDigests) {
   const std::vector<std::string> second = extract_digests(read_artifact());
   ASSERT_EQ(first.size(), 3u);
   EXPECT_EQ(first, second);
-}
-
-TEST(ServeExperiment, LanesEnvParsing) {
-  setenv("RHW_SERVE_LANES", "5", 1);
-  EXPECT_EQ(serve_lanes_env(7), 5u);
-  setenv("RHW_SERVE_LANES", "bogus", 1);
-  EXPECT_EQ(serve_lanes_env(7), 7u);  // non-numeric: fall back
-  unsetenv("RHW_SERVE_LANES");
-  EXPECT_EQ(serve_lanes_env(7), 7u);
 }
 
 }  // namespace

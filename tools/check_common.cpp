@@ -283,7 +283,7 @@ struct Pattern {
   const char* why;
 };
 
-// The determinism / wall-clock pattern tables. Anchored on "std::" or a
+// The determinism / wall-clock / environment pattern tables. Anchored on "std::" or a
 // word boundary so the pattern sources themselves (which contain the bare
 // token preceded by escapes) never self-match when this file is linted.
 const std::vector<Pattern>& patterns() {
@@ -311,12 +311,17 @@ const std::vector<Pattern>& patterns() {
       {"wallclock", std::regex(R"(clock_gettime\s*\(\s*CLOCK_REALTIME)"),
        "wall-clock read; use steady_clock (CLOCK_MONOTONIC) for elapsed "
        "time"},
+      {"env", std::regex(R"(\bgetenv\s*\()"),
+       "environment read; anything that changes results must be a spec knob "
+       "the artifact stamps, so only paths and test hooks may read the "
+       "environment, each allow-commented with its reason"},
   };
   return pats;
 }
 
 const std::set<std::string>& known_rules() {
-  static const std::set<std::string> rules = {"rng", "wallclock", "spec"};
+  static const std::set<std::string> rules = {"rng", "wallclock", "spec",
+                                              "env"};
   return rules;
 }
 
@@ -330,7 +335,7 @@ void lint_source(const std::string& display_path, const std::string& text,
     if (known_rules().count(a.rule) == 0) {
       diags.push_back({display_path, a.line, "allow",
                        "allow(" + a.rule + ") names an unknown rule; known: "
-                       "rng, wallclock, spec"});
+                       "rng, wallclock, spec, env"});
     }
   }
   // An allow on the finding's line or the line directly above suppresses it.
