@@ -48,12 +48,12 @@ int main() {
     const auto report =
         sram::activation_memory_report(model, sample, vdd, noisy_sites,
                                        energy_model);
-    table.add_row({exp::fmt(vdd, 2) + "V",
-                   exp::fmt(report.total_read_energy_fj / 1e3, 2),
-                   exp::fmt(report.energy_saving_pct(), 1),
-                   exp::fmt(report.total_area_um2 / 1e6, 4),
-                   exp::fmt(res.clean_acc, 2), exp::fmt(res.adv_acc, 2),
-                   exp::fmt(res.adversarial_loss(), 2)});
+    table.add_row({core::fmt(vdd, 2) + "V",
+                   core::fmt(report.total_read_energy_fj / 1e3, 2),
+                   core::fmt(report.energy_saving_pct(), 1),
+                   core::fmt(report.total_area_um2 / 1e6, 4),
+                   core::fmt(res.clean_acc, 2), core::fmt(res.adv_acc, 2),
+                   core::fmt(res.adversarial_loss(), 2)});
   }
   sram::clear_all_site_hooks(model);
   table.print();
@@ -81,9 +81,9 @@ int main() {
         xem.tile_mvm_energy_fj(cfg.spec, cfg.adc_bits) /
         static_cast<double>(size * size);
     xtable.add_row({std::to_string(size) + "x" + std::to_string(size),
-                    std::to_string(report.num_tiles), exp::fmt(total_nj, 2),
-                    exp::fmt(per_weight, 2),
-                    exp::fmt(xem.tile_area_um2(cfg.spec), 0)});
+                    std::to_string(report.num_tiles), core::fmt(total_nj, 2),
+                    core::fmt(per_weight, 2),
+                    core::fmt(xem.tile_area_um2(cfg.spec), 0)});
   }
   xtable.print();
   xtable.write_csv(exp::bench_out_dir() + "/ablation_energy_xbar.csv");

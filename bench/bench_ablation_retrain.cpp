@@ -46,14 +46,15 @@ int main() {
                                               wb.eval_set, acfg);
 
   exp::TablePrinter table({"model", "clean %", "adv % (FGSM 0.1)", "AL"});
-  table.add_row({"software baseline", exp::fmt(sw.clean_acc, 2),
-                 exp::fmt(sw.adv_acc, 2), exp::fmt(sw.adversarial_loss(), 2)});
-  table.add_row({"noisy (1/7 @ 0.64V)", exp::fmt(before.clean_acc, 2),
-                 exp::fmt(before.adv_acc, 2),
-                 exp::fmt(before.adversarial_loss(), 2)});
-  table.add_row({"noisy + retrained", exp::fmt(after.clean_acc, 2),
-                 exp::fmt(after.adv_acc, 2),
-                 exp::fmt(after.adversarial_loss(), 2)});
+  table.add_row({"software baseline", core::fmt(sw.clean_acc, 2),
+                 core::fmt(sw.adv_acc, 2),
+                 core::fmt(sw.adversarial_loss(), 2)});
+  table.add_row({"noisy (1/7 @ 0.64V)", core::fmt(before.clean_acc, 2),
+                 core::fmt(before.adv_acc, 2),
+                 core::fmt(before.adversarial_loss(), 2)});
+  table.add_row({"noisy + retrained", core::fmt(after.clean_acc, 2),
+                 core::fmt(after.adv_acc, 2),
+                 core::fmt(after.adversarial_loss(), 2)});
   table.print();
   table.write_csv(exp::bench_out_dir() + "/ablation_retrain.csv");
   std::printf(

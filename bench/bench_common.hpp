@@ -1,6 +1,6 @@
-// Shared setup for the standalone ablation benches (the figure/table benches
-// are thin wrappers over exp::ExperimentRegistry presets and use none of
-// this — see tools/rhw_run.cpp).
+// Shared setup for the standalone ablation benches. The figure/table
+// experiments are exp::ExperimentRegistry presets run as `rhw_run <preset>`
+// (tools/rhw_run.cpp) and use none of this.
 #pragma once
 
 #include <cstdio>

@@ -21,8 +21,8 @@ int main() {
 
   std::vector<std::string> headers{"r (#8T/#6T)"};
   for (double vdd : vdds) {
-    headers.push_back("mu@" + exp::fmt(vdd, 2) + "V");
-    headers.push_back("mc@" + exp::fmt(vdd, 2) + "V");
+    headers.push_back("mu@" + core::fmt(vdd, 2) + "V");
+    headers.push_back("mc@" + core::fmt(vdd, 2) + "V");
   }
   exp::TablePrinter table(headers);
 
@@ -35,8 +35,8 @@ int main() {
       const double analytic = sram::surgical_noise_mu(word, model, vdd);
       sram::BitErrorInjector inj(word, model, vdd);
       const double measured = inj.measure_mu(200000, rng);
-      row.push_back(exp::fmt(analytic, 5));
-      row.push_back(exp::fmt(measured, 5));
+      row.push_back(core::fmt(analytic, 5));
+      row.push_back(core::fmt(measured, 5));
     }
     table.add_row(std::move(row));
   }
@@ -57,8 +57,8 @@ int main() {
     exposed.msb_protected = false;
     const double mu_p = sram::surgical_noise_mu(protected_word, model, 0.68);
     const double mu_e = sram::surgical_noise_mu(exposed, model, 0.68);
-    ablation.add_row({protected_word.ratio_label(), exp::fmt(mu_p, 6),
-                      exp::fmt(mu_e, 6), exp::fmt(mu_e / mu_p, 1)});
+    ablation.add_row({protected_word.ratio_label(), core::fmt(mu_p, 6),
+                      core::fmt(mu_e, 6), core::fmt(mu_e / mu_p, 1)});
   }
   ablation.print();
   ablation.write_csv(exp::bench_out_dir() + "/fig2_ablation_msb.csv");

@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "hw/registry.hpp"
+#include "models/zoo.hpp"
+
 namespace rhw::defenses {
 
 void Defense::harden(models::Model&, const DefenseContext&) const {}
@@ -46,5 +49,37 @@ hw::EnergyReport WrappedBackend::energy_report() const {
 void WrappedBackend::do_prepare(nn::Module&,
                                 const std::vector<models::ActivationSite>&,
                                 const data::Dataset*) {}
+
+PreparedArm prepare_arm(const models::Model& baseline, float width_mult,
+                        int64_t in_size, const std::string& hw_spec,
+                        const Defense& defense, const DefenseContext& ctx,
+                        const PreparedArm* prototype) {
+  PreparedArm arm;
+  const bool clone_hardened = defense.replicable_by_clone();
+  if (prototype != nullptr && clone_hardened) {
+    // Weight-only hardening (adv_train): clone the prototype's hardened
+    // weights instead of re-training. They never change once the prototype
+    // is built, so concurrent replicas may read them.
+    arm.model =
+        models::clone_model(*prototype->hardened, width_mult, in_size);
+  } else {
+    arm.model = models::clone_model(baseline, width_mult, in_size);
+    // Hardening that installs hooks (quanos) re-runs deterministically —
+    // clone_model would not carry it.
+    defense.harden(arm.model, ctx);
+    if (clone_hardened) {
+      arm.hardened = models::clone_model(arm.model, width_mult, in_size);
+    }
+  }
+  // A replica reproduces the prototype's prepared state without the
+  // (expensive) calibration; only a first arm, or a backend that cannot
+  // replicate, is built from the spec and calibrated.
+  if (prototype != nullptr) arm.inner = prototype->inner->replicate();
+  const data::Dataset* calibration = arm.inner ? nullptr : ctx.calibration;
+  if (!arm.inner) arm.inner = hw::make_backend(hw_spec);
+  arm.inner->prepare(arm.model, calibration);
+  arm.wrapped = defense.wrap(*arm.inner);
+  return arm;
+}
 
 }  // namespace rhw::defenses

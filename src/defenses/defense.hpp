@@ -21,7 +21,7 @@
 // grammar and the token-naming error contract with the other two seams.
 //
 // Determinism contract: harden() must be a pure function of (model, ctx,
-// config) — SweepEngine re-runs it per replica (or clones the hardened
+// config) — prepare_arm re-runs it per replica (or clones the hardened
 // prototype, see replicable_by_clone) and every replica must be
 // bit-identical. Wrapper modules that draw randomness (smoothing, Gaussian
 // augmentation) register hook seeders so nn::reseed_noise_streams pins their
@@ -30,6 +30,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,8 +68,8 @@ class Defense {
   virtual bool training_time() const { return false; }
 
   // True when harden() only mutates weights and persistent buffers — state
-  // models::clone_model carries — so exp::SweepEngine may clone the hardened
-  // prototype model instead of re-running an expensive harden per lane.
+  // models::clone_model carries — so prepare_arm may clone the hardened
+  // prototype model instead of re-running an expensive harden per replica.
   // Defenses that install hooks (quanos) must return false.
   virtual bool replicable_by_clone() const { return false; }
 
@@ -83,9 +84,9 @@ class Defense {
 
   // Phase 2: build a wrapper backend around a prepared hardware backend, or
   // return null for pass-through defenses. The wrapper references `inner`
-  // without owning it — callers (SweepEngine replicas, al_curve) keep the
-  // inner backend alive alongside the wrapper. Throws std::invalid_argument
-  // naming the defense when `inner` has not been prepare()d.
+  // without owning it — PreparedArm keeps the inner backend alive alongside
+  // the wrapper. Throws std::invalid_argument naming the defense when
+  // `inner` has not been prepare()d.
   hw::BackendPtr wrap(hw::HardwareBackend& inner) const;
 
  protected:
@@ -95,6 +96,42 @@ class Defense {
 };
 
 using DefensePtr = std::unique_ptr<Defense>;
+
+// One prepared (hardware spec, defense) arm: the hardened model clone, the
+// hardware backend prepared on it, and the defense wrapper around that
+// backend. Every sweep replica and serving lane is one of these, built by
+// prepare_arm.
+struct PreparedArm {
+  models::Model model;
+  hw::BackendPtr inner;    // the prepared hardware backend
+  hw::BackendPtr wrapped;  // defense wrapper around inner; null = pass-through
+  // The hardened model as it was before prepare(), which may rewrite
+  // weights in place (crossbar mapping). Kept by a prototype whose defense
+  // is replicable_by_clone, for its replicas to clone.
+  std::optional<models::Model> hardened;
+  // What attacks and servers run through: the wrapper if any, else inner.
+  hw::HardwareBackend* serving() const {
+    return wrapped ? wrapped.get() : inner.get();
+  }
+};
+
+// Builds one arm of `hw_spec` under `defense` from the trained `baseline`
+// (never mutated; the geometry feeds models::clone_model). This is the one
+// rule for how a replica reproduces its prototype:
+//   * model: with a prototype and a defense that is replicable_by_clone(),
+//     clone the prototype's hardened model (as it was before prepare);
+//     otherwise clone the baseline and run harden(ctx);
+//   * backend: with a prototype, its inner->replicate() prepared without
+//     calibration data; with no prototype (or a null replicate()), a fresh
+//     hw::make_backend(hw_spec) prepared on ctx.calibration;
+//   * wrap the prepared backend.
+// A replica is bit-identical to its prototype: same logits under the same
+// nn::reseed_noise_streams seed, same energy_report(). The prototype must be
+// fully built; concurrent calls may share it (they only read it).
+PreparedArm prepare_arm(const models::Model& baseline, float width_mult,
+                        int64_t in_size, const std::string& hw_spec,
+                        const Defense& defense, const DefenseContext& ctx,
+                        const PreparedArm* prototype = nullptr);
 
 // Implemented by wrapper backends whose defense yields a robustness
 // certificate (randomized smoothing). exp::SweepEngine probes for this with

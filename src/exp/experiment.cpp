@@ -10,7 +10,7 @@
 #include "core/engine_registry.hpp"
 #include "data/registry.hpp"
 #include "defenses/registry.hpp"
-#include "exp/al_runner.hpp"
+#include "exp/sweep.hpp"
 #include "hw/registry.hpp"
 
 namespace rhw::exp {

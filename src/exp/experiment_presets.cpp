@@ -12,7 +12,6 @@
 
 #include "attacks/diagnostics.hpp"
 #include "core/stats.hpp"
-#include "exp/al_runner.hpp"
 #include "exp/ascii_plot.hpp"
 #include "exp/experiment_registry.hpp"
 #include "exp/table_printer.hpp"
@@ -202,9 +201,10 @@ class Fig5Program final : public ExperimentProgram {
     for (size_t i = 0; i < base_curve.points.size(); ++i) {
       const auto& b = base_curve.points[i];
       const auto& n = noisy_curve.points[i];
-      table_.add_row({pc.arch.arch, pc.dataset.tag, fmt(b.epsilon, 2),
-                      fmt(b.al, 2), fmt(n.al, 2), fmt(b.al - n.al, 2),
-                      fmt(n.clean_acc, 2), fmt(n.adv_acc, 2)});
+      table_.add_row({pc.arch.arch, pc.dataset.tag, core::fmt(b.epsilon, 2),
+                      core::fmt(b.al, 2), core::fmt(n.al, 2),
+                      core::fmt(b.al - n.al, 2),
+                      core::fmt(n.clean_acc, 2), core::fmt(n.adv_acc, 2)});
       panel[0].x.push_back(b.epsilon);
       panel[0].y.push_back(b.al);
       panel[1].x.push_back(n.epsilon);
@@ -281,8 +281,8 @@ class ConfigTableProgram final : public ExperimentProgram {
     headers.push_back("VDD");
     row.push_back("0.68V");
     headers.push_back("CA/Deviation");
-    row.push_back(fmt(selection_.final_clean_acc, 2) + " / " +
-                  fmt(selection_.baseline_clean_acc -
+    row.push_back(core::fmt(selection_.final_clean_acc, 2) + " / " +
+                  core::fmt(selection_.baseline_clean_acc -
                           selection_.final_clean_acc,
                       2));
     TablePrinter table(headers);
@@ -384,8 +384,8 @@ class XbarFigureProgram final : public ExperimentProgram {
           series.label = mode;
           for (const auto& pt : curve.points) {
             table.add_row({label, attacks::attack_display_name(spec), mode,
-                           fmt(pt.epsilon, 3), fmt(pt.clean_acc, 2),
-                           fmt(pt.adv_acc, 2), fmt(pt.al, 2)});
+                           core::fmt(pt.epsilon, 3), core::fmt(pt.clean_acc, 2),
+                           core::fmt(pt.adv_acc, 2), core::fmt(pt.al, 2)});
             series.x.push_back(pt.epsilon);
             series.y.push_back(pt.al);
           }
@@ -461,8 +461,9 @@ class Fig8aProgram final : public ExperimentProgram {
       for (const char* mode : {"SH", "HH"}) {
         const auto curve = result.curve(key + "/" + mode, "pgd");
         table.add_row({std::to_string(rk) + " kOhm", mode,
-                       fmt(curve.points[0].al, 2), fmt(curve.points[1].al, 2),
-                       fmt(curve.points[2].al, 2)});
+                       core::fmt(curve.points[0].al, 2),
+                       core::fmt(curve.points[1].al, 2),
+                       core::fmt(curve.points[2].al, 2)});
       }
     }
     table.print();
@@ -518,9 +519,9 @@ class Fig8bcProgram final : public ExperimentProgram {
       for (const auto& mode : result.mode_labels) {
         const auto curve = result.curve(mode, spec);
         for (const auto& pt : curve.points) {
-          table.add_row({attack, mode, fmt(pt.epsilon, 3),
-                         fmt(pt.clean_acc, 2), fmt(pt.adv_acc, 2),
-                         fmt(pt.al, 2)});
+          table.add_row({attack, mode, core::fmt(pt.epsilon, 3),
+                         core::fmt(pt.clean_acc, 2), core::fmt(pt.adv_acc, 2),
+                         core::fmt(pt.al, 2)});
         }
       }
     }
@@ -674,7 +675,8 @@ class Table3Program final : public ExperimentProgram {
                             : pc.grid.attacks[0].epsilons[i];
       table.add_row({std::to_string(static_cast<int>(eps * 255 + 0.5f)) +
                          "/255",
-                     fmt(al[i][0], 2), fmt(al[i][1], 2), fmt(al[i][2], 2)});
+                     core::fmt(al[i][0], 2), core::fmt(al[i][1], 2),
+                     core::fmt(al[i][2], 2)});
     }
     table.print();
     table.write_csv(bench_out_dir() + "/" + pc.tag + ".csv");
@@ -754,7 +756,7 @@ class ShootoutProgram final : public ExperimentProgram {
            fgsm->al.format(), pgd->adv.format(), pgd->al.format(),
            fgsm->cert.mean > 0.0 ? fgsm->cert.format(3) : "-",
            eval_backend != nullptr
-               ? fmt(eval_backend->energy_report().energy_nj, 4)
+               ? core::fmt(eval_backend->energy_report().energy_nj, 4)
                : "-"});
     }
     table.print();
@@ -884,9 +886,9 @@ class AuditProgram final : public ExperimentProgram {
       if (eot_breaks) verdict += " eot";
       if (square_breaks) verdict += " square";
       if (transfer_breaks) verdict += " transfer";
-      table.add_row({sub.key, fmt(clean, 2), fmt(pgd_acc, 2),
-                     fmt(eot_acc, 2), fmt(square_acc, 2),
-                     fmt(transfer_acc, 2), verdict});
+      table.add_row({sub.key, core::fmt(clean, 2), core::fmt(pgd_acc, 2),
+                     core::fmt(eot_acc, 2), core::fmt(square_acc, 2),
+                     core::fmt(transfer_acc, 2), verdict});
 
       std::printf("%s:\n", sub.title);
       std::printf("  gradient cosine vs software model : %.4f\n", cos);
@@ -1063,8 +1065,8 @@ class AblationChipProgram final : public ExperimentProgram {
     const SweepAggregate* software = nullptr;
     for (size_t m = 0; m < result.mode_labels.size(); ++m) {
       const auto* agg = result.find(m, 0, 0);
-      table.add_row({result.mode_labels[m], fmt(agg->clean.mean, 2),
-                     fmt(agg->adv.mean, 2), fmt(agg->al.mean, 2)});
+      table.add_row({result.mode_labels[m], core::fmt(agg->clean.mean, 2),
+                     core::fmt(agg->adv.mean, 2), core::fmt(agg->al.mean, 2)});
       if (result.mode_labels[m] == "software") {
         software = agg;
       } else {

@@ -83,7 +83,7 @@ void ExperimentProgram::report(PanelContext& panel) {
         if (agg.mode != m || agg.attack != a) continue;
         std::vector<std::string> row{
             result.attack_names[a],  result.mode_labels[m],
-            fmt(agg.epsilon, 3),     agg.clean.format(),
+            core::fmt(agg.epsilon, 3),     agg.clean.format(),
             agg.adv.format(),        agg.al.format()};
         if (any_cert) {
           row.push_back(agg.cert.mean > 0.0 ? agg.cert.format(3) : "-");

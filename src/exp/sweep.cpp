@@ -18,7 +18,6 @@
 
 #include "core/thread_pool.hpp"
 #include "exp/journal.hpp"
-#include "models/zoo.hpp"
 
 namespace rhw::exp {
 
@@ -41,6 +40,15 @@ uint64_t sweep_cert_seed(uint64_t base_seed, int trial) {
   const uint64_t trial_seed =
       derive_stream_seed(base_seed, static_cast<uint64_t>(trial));
   return derive_stream_seed(trial_seed, kSweepCertStream);
+}
+
+std::vector<float> fgsm_epsilons() {
+  return {0.f, 0.05f, 0.1f, 0.15f, 0.2f, 0.25f, 0.3f};
+}
+
+std::vector<float> pgd_epsilons() {
+  return {0.f, 2.f / 255.f, 4.f / 255.f, 8.f / 255.f, 16.f / 255.f,
+          32.f / 255.f};
 }
 
 std::vector<CellCoord> enumerate_cells(size_t n_modes,
@@ -66,14 +74,7 @@ struct SweepEngine::Pool {
   SweepBackendDef def;
   defenses::DefensePtr defense;  // parsed once in run(), shared by all lanes
 
-  struct Replica {
-    models::Model model;
-    hw::BackendPtr inner;    // the hardware backend, replicated across lanes
-    hw::BackendPtr wrapped;  // defense wrapper around inner; null = pass-through
-    hw::HardwareBackend* serving() const {
-      return wrapped ? wrapped.get() : inner.get();
-    }
-  };
+  using Replica = defenses::PreparedArm;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -84,8 +85,8 @@ struct SweepEngine::Pool {
 
   // Replica construction runs OUTSIDE the pool lock so lanes stamp replicas
   // concurrently; only the prototype (which pays for calibration-driven
-  // prepare, defense hardening, and seeds replicate()) is built exclusively,
-  // with other lanes waiting on it.
+  // prepare and defense hardening) is built exclusively, with other lanes
+  // waiting on it.
   Replica* checkout(const SweepGrid& grid) {
     std::unique_lock lock(mu);
     for (;;) {
@@ -97,40 +98,19 @@ struct SweepEngine::Pool {
       if (prototype != nullptr || !prototype_building) break;
       cv.wait(lock);
     }
-    const bool is_prototype = prototype == nullptr;
+    const Replica* const source = prototype;  // null: build the prototype
+    const bool is_prototype = source == nullptr;
     if (is_prototype) prototype_building = true;
     lock.unlock();
 
-    auto rep = std::make_unique<Replica>();
+    std::unique_ptr<Replica> rep;
     try {
       defenses::DefenseContext dctx;
       dctx.train_data = grid.train_data;
       dctx.calibration = def.calibration;
-      if (!is_prototype && defense->replicable_by_clone()) {
-        // Weight-only hardening (adv_train): clone the prototype's hardened
-        // model instead of re-training per lane. The prototype's weights and
-        // buffers are immutable after it finishes building (evaluation only
-        // touches caches and Param::grad), so the concurrent read is safe.
-        rep->model = models::clone_model(prototype->model, grid.width_mult,
-                                         grid.in_size);
-      } else {
-        rep->model =
-            models::clone_model(*grid.model, grid.width_mult, grid.in_size);
-        // Hardening that installs hooks (quanos) re-runs deterministically
-        // per replica — clone_model would not carry it.
-        defense->harden(rep->model, dctx);
-      }
-      // The prototype pays for the full (possibly calibration-driven)
-      // prepare; later replicas reproduce its state via replicate().
-      hw::BackendPtr b =
-          is_prototype ? nullptr : prototype->inner->replicate();
-      const data::Dataset* calibration = b ? nullptr : def.calibration;
-      if (!b) b = hw::make_backend(def.spec);
-      b->prepare(rep->model, calibration);
-      rep->inner = std::move(b);
-      // Inference-time phase: wrap the prepared backend (re-applied per
-      // replica; wrappers are cheap and deterministic).
-      rep->wrapped = defense->wrap(*rep->inner);
+      rep = std::make_unique<Replica>(defenses::prepare_arm(
+          *grid.model, grid.width_mult, grid.in_size, def.spec, *defense, dctx,
+          source));
     } catch (...) {
       if (is_prototype) {
         lock.lock();

@@ -18,24 +18,21 @@
 //   * Calibrate-once: each backend definition pays for data-driven
 //     calibration exactly once — the prototype replica runs it (SRAM layer
 //     selection is the expensive case) and later replicas reproduce its
-//     prepared state bit-for-bit via HardwareBackend::replicate() without
-//     the calibration data. Defense hardening follows the same rule: a
-//     defense whose harden() is carried by model cloning (adv_train) runs
-//     once on the prototype and replicas clone the hardened weights; the
-//     rest (quanos' hook install) re-run deterministically per lane.
-//     Replica prepare() itself still runs per lane (deterministic
-//     re-execution: crossbar remap), a one-time per-lane cost amortized
-//     over all the cells that lane runs. Modules cache forward state, so
-//     replicas — not literal sharing — are what "read-only across cells"
-//     means at the module level.
+//     prepared state bit-for-bit without the calibration data. Replicas are
+//     built by defenses::prepare_arm, the one builder serve::Server's lanes
+//     share, which also decides when defense hardening is cloned from the
+//     prototype (adv_train) or re-run (quanos' hook install). Replica
+//     prepare() itself still runs per lane (deterministic re-execution:
+//     crossbar remap), a one-time per-lane cost amortized over all the cells
+//     that lane runs. Modules cache forward state, so replicas — not literal
+//     sharing — are what "read-only across cells" means at the module level.
 //   * Trials: trials > 1 re-runs every cell under derived trial seeds;
 //     aggregates carry mean ± 95% CI (exp/sweep_stats.hpp). Certifying
 //     defense arms (smooth) additionally report a mean certified L2 radius
 //     per trial, aggregated like clean accuracy.
 //
-// exp::al_curve is the serial single-row special case (mode 0, attack 0,
-// trial 0) of the same per-cell seed derivation, so a one-row grid
-// reproduces it bit-for-bit.
+// A single AL(eps) row is a one-mode grid; run it at one lane for a serial
+// reference (SweepOptions::threads = 1).
 #pragma once
 
 #include <memory>
@@ -45,12 +42,28 @@
 
 #include "attacks/evaluate.hpp"
 #include "defenses/registry.hpp"
-#include "exp/al_runner.hpp"
 #include "exp/sweep_stats.hpp"
 #include "hw/registry.hpp"
 #include "models/vgg.hpp"
 
 namespace rhw::exp {
+
+// One point of an AL(eps) series, in percent.
+struct AlPoint {
+  float epsilon = 0.f;
+  double clean_acc = 0.0;
+  double adv_acc = 0.0;
+  double al = 0.0;  // clean - adv
+};
+
+struct AlCurve {
+  std::string label;            // mode label, e.g. "Attack-SW", "SH", "HH"
+  std::vector<AlPoint> points;  // one per epsilon
+};
+
+// The paper's epsilon grids.
+std::vector<float> fgsm_epsilons();  // 0, 0.05 .. 0.3  (Figs. 5-8b)
+std::vector<float> pgd_epsilons();   // 0, {2,4,8,16,32}/255 (Figs. 6-8c)
 
 // How one hardware arm of the grid is constructed: a hw registry spec (with
 // optional calibration data for data-driven prepare()), optionally hardened

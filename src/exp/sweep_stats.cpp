@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/format.hpp"
 #include "core/stats.hpp"
-#include "exp/table_printer.hpp"
 
 namespace rhw::exp {
 
@@ -41,9 +41,9 @@ SweepStat summarize(std::span<const double> xs) {
 
 std::string SweepStat::format(int precision) const {
   if (n > 1 && ci95 > 0.0) {
-    return fmt(mean, precision) + "±" + fmt(ci95, precision);
+    return core::fmt(mean, precision) + "±" + core::fmt(ci95, precision);
   }
-  return fmt(mean, precision);
+  return core::fmt(mean, precision);
 }
 
 void JsonWriter::comma() {

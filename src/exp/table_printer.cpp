@@ -71,12 +71,6 @@ void TablePrinter::write_csv(const std::string& path) const {
   for (const auto& row : rows_) write_row(row);
 }
 
-std::string fmt(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  return buf;
-}
-
 std::string bench_out_dir() {
   std::string dir = "bench_out";
   // rhw-lint: allow(env) — an output path, a deployment setting

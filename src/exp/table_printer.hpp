@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/format.hpp"  // core::fmt, the cell number format
+
 namespace rhw::exp {
 
 class TablePrinter {
@@ -20,9 +22,6 @@ class TablePrinter {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Fixed-precision float formatting ("12.34").
-std::string fmt(double v, int precision = 2);
 
 // Directory for benchmark CSV artifacts; created on demand.
 // Default: $RHW_BENCH_OUT or "bench_out".

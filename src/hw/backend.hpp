@@ -83,11 +83,11 @@ class HardwareBackend {
   // A fresh, unprepared backend of the same kind and configuration whose
   // prepare() will reproduce this backend's prepared state bit-for-bit on an
   // identical network clone — without re-running data-driven calibration
-  // (e.g. SramBackend carries its installed site selection over). This is
-  // how exp::SweepEngine stamps out per-lane replicas after paying for one
-  // full prepare, and how serve::Server builds its worker-lane replicas.
-  // Returns null when the backend cannot replicate itself; callers then
-  // rebuild from the original spec/factory.
+  // (e.g. SramBackend carries its installed site selection over, even an
+  // empty one). Called only by defenses::prepare_arm, which builds every
+  // sweep replica and serving lane. Returns null when the backend cannot
+  // replicate itself; prepare_arm then rebuilds from the spec and
+  // calibrates.
   virtual BackendPtr replicate() const { return nullptr; }
 
  protected:

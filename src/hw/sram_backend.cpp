@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "exp/table_printer.hpp"
+#include "core/format.hpp"
 
 namespace rhw::hw {
 
@@ -10,7 +10,7 @@ void SramBackend::do_prepare(nn::Module& net,
                              const std::vector<models::ActivationSite>& sites,
                              const data::Dataset* calibration) {
   installed_.clear();
-  if (!cfg_.selection.empty()) {
+  if (selection_decided_ || !cfg_.selection.empty()) {
     installed_ = cfg_.selection;
   } else if (calibration != nullptr && calibration->size() > 0) {
     sram::SelectorConfig scfg = cfg_.selector;
@@ -35,9 +35,14 @@ void SramBackend::do_prepare(nn::Module& net,
 }
 
 BackendPtr SramBackend::replicate() const {
-  SramBackendConfig cfg = cfg_;
-  if (!installed_.empty()) cfg.selection = installed_;
-  return std::make_unique<SramBackend>(std::move(cfg));
+  auto replica = std::make_unique<SramBackend>(cfg_);
+  if (prepared()) {
+    // Even an empty selection is decided: a calibration that chose no site
+    // must not fall back to the default sites on the replica.
+    replica->cfg_.selection = installed_;
+    replica->selection_decided_ = true;
+  }
+  return replica;
 }
 
 EnergyReport SramBackend::energy_report() const {
@@ -55,11 +60,11 @@ EnergyReport SramBackend::energy_report() const {
     report.area_um2 += energy.word_area_um2(choice.word);
     report.details.emplace_back(
         choice.site_label + "@" + choice.word.ratio_label(),
-        exp::fmt(word_fj, 3) + " fJ/word (8T@nominal " +
-            exp::fmt(baseline_fj, 3) + ")");
+        core::fmt(word_fj, 3) + " fJ/word (8T@nominal " +
+            core::fmt(baseline_fj, 3) + ")");
   }
   report.energy_nj = total_fj * 1e-6;
-  report.details.emplace_back("vdd", exp::fmt(cfg_.vdd, 2) + " V");
+  report.details.emplace_back("vdd", core::fmt(cfg_.vdd, 2) + " V");
   report.details.emplace_back("noisy_sites",
                               std::to_string(installed_.size()));
   return report;

@@ -41,9 +41,9 @@ class SramBackend final : public HardwareBackend {
   // sram::activation_memory_report for a full-model account).
   EnergyReport energy_report() const override;
 
-  // Carries the installed site selection into the replica's config, so
-  // replica prepare() skips the (expensive, calibration-driven) selector and
-  // installs identical hooks.
+  // Carries the installed site selection into the replica's config — an
+  // empty one included — so replica prepare() skips the (expensive,
+  // calibration-driven) selector and installs identical hooks.
   BackendPtr replicate() const override;
 
   // The site choices actually installed by prepare().
@@ -63,6 +63,9 @@ class SramBackend final : public HardwareBackend {
 
  private:
   SramBackendConfig cfg_;
+  // Set on a replica of a prepared backend: cfg_.selection is the decided
+  // selection even when it is empty (no fallback to the default sites).
+  bool selection_decided_ = false;
   std::vector<sram::SiteChoice> installed_;
   sram::SelectionResult selection_result_;
 };

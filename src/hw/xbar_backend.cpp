@@ -1,6 +1,6 @@
 #include "hw/xbar_backend.hpp"
 
-#include "exp/table_printer.hpp"
+#include "core/format.hpp"
 
 namespace rhw::hw {
 
@@ -31,7 +31,7 @@ EnergyReport XbarBackend::energy_report() const {
       "tile", std::to_string(spec.rows) + "x" + std::to_string(spec.cols));
   report.details.emplace_back("adc_bits", std::to_string(cfg_.map.adc_bits));
   report.details.emplace_back(
-      "mean_weight_err", exp::fmt(mapped_.report.mean_rel_weight_error, 4));
+      "mean_weight_err", core::fmt(mapped_.report.mean_rel_weight_error, 4));
   return report;
 }
 

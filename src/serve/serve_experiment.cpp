@@ -170,11 +170,11 @@ void run_serve_panel(const exp::ExperimentSpec& spec, exp::PanelContext& pc,
                            "p50 us", "p95 us", "p99 us", "mean us", "batch",
                            "acc %"});
   for (const CurvePoint& pt : curve) {
-    table.add_row({pt.arm, exp::fmt(pt.offered_qps, 0),
-                   exp::fmt(pt.achieved_qps, 1), std::to_string(pt.completed),
+    table.add_row({pt.arm, core::fmt(pt.offered_qps, 0),
+                   core::fmt(pt.achieved_qps, 1), std::to_string(pt.completed),
                    std::to_string(pt.p50_us), std::to_string(pt.p95_us),
-                   std::to_string(pt.p99_us), exp::fmt(pt.mean_us, 0),
-                   exp::fmt(pt.mean_batch, 1), exp::fmt(pt.accuracy, 1)});
+                   std::to_string(pt.p99_us), core::fmt(pt.mean_us, 0),
+                   core::fmt(pt.mean_batch, 1), core::fmt(pt.accuracy, 1)});
   }
   table.print();
   table.write_csv(exp::bench_out_dir() + "/" + pc.tag + ".csv");

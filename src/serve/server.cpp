@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/rng.hpp"
-#include "models/zoo.hpp"
 #include "nn/module.hpp"
 
 namespace rhw::serve {
@@ -52,37 +51,21 @@ void Server::build_lanes() {
   dctx.train_data = arm_.train_data;
   dctx.calibration = arm_.calibration;
 
-  // The prototype (lane 0) pays for defense hardening and the full —
-  // possibly calibration-driven — prepare() once; every further lane
-  // reproduces its state bit-for-bit, exactly like SweepEngine's replica
-  // pools. Lanes are built serially here: serving cost is steady-state, not
-  // startup, and serial construction keeps the defense-hardening path
-  // trivially race-free.
-  Lane* prototype = nullptr;
+  // Lane 0 is the prototype; every further lane is built from it by the
+  // same defenses::prepare_arm rule as SweepEngine's replicas. Lanes are
+  // built serially: serving cost is steady-state, not startup.
   for (unsigned i = 0; i < config_.lanes; ++i) {
     auto lane = std::make_unique<Lane>();
-    if (prototype != nullptr && defense->replicable_by_clone()) {
-      lane->model =
-          models::clone_model(prototype->model, width_mult_, in_size_);
-    } else {
-      lane->model = models::clone_model(*model_, width_mult_, in_size_);
-      defense->harden(lane->model, dctx);
-    }
-    hw::BackendPtr backend =
-        prototype != nullptr ? prototype->inner->replicate() : nullptr;
-    const data::Dataset* calibration = backend ? nullptr : arm_.calibration;
-    if (!backend) backend = hw::make_backend(arm_.hw);
-    backend->prepare(lane->model, calibration);
-    lane->inner = std::move(backend);
-    lane->wrapped = defense->wrap(*lane->inner);
-    if (prototype == nullptr) prototype = lane.get();
+    lane->arm = defenses::prepare_arm(*model_, width_mult_, in_size_, arm_.hw,
+                                      *defense, dctx,
+                                      i == 0 ? nullptr : &lanes_[0]->arm);
     lanes_.push_back(std::move(lane));
   }
 
   // An arm with live noise streams (stochastic substrate or defense wrapper)
   // must be re-seeded and run per request; a noise-free arm has no seeders
   // and this call is a no-op, unlocking the fused batched forward.
-  stochastic_ = nn::reseed_noise_streams(lanes_[0]->serving()->module(),
+  stochastic_ = nn::reseed_noise_streams(lanes_[0]->arm.serving()->module(),
                                          request_seed(config_.seed, 0)) > 0;
 }
 
@@ -148,7 +131,7 @@ void Server::worker(size_t lane_index) {
 }
 
 void Server::execute(size_t lane_index, std::vector<PendingRequest> batch) {
-  hw::HardwareBackend* serving = lanes_[lane_index]->serving();
+  hw::HardwareBackend* serving = lanes_[lane_index]->arm.serving();
   const size_t n = batch.size();
   std::vector<int64_t> predicted(n);
   std::vector<float> score(n);
@@ -264,7 +247,7 @@ ServeReport Server::report() const {
 
 std::string Server::arm_name() const {
   if (lanes_.empty()) return arm_.key;
-  return lanes_[0]->serving()->name();
+  return lanes_[0]->arm.serving()->name();
 }
 
 }  // namespace rhw::serve

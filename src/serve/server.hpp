@@ -3,12 +3,12 @@
 //
 // Requests enter an in-process queue via submit(); worker lanes drain it
 // through a serve::Batcher (max batch size + max linger deadline) and run
-// each micro-batch on the lane's own prepared backend replica. Replicas are
-// built exactly like SweepEngine's pools: the prototype pays for defense
-// hardening and (possibly calibration-driven) prepare() once, later lanes
-// reproduce its state via HardwareBackend::replicate() — so defense-wrapped
-// arms ("ideal+jpeg_quant:bits=4") serve like any other hardware, from the
-// same spec strings as sweeps.
+// each micro-batch on the lane's own prepared backend replica. Lanes are
+// built by defenses::prepare_arm, the same builder as SweepEngine's
+// replicas: the prototype pays for defense hardening and (possibly
+// calibration-driven) prepare() once, later lanes reproduce its state — so
+// defense-wrapped arms ("ideal+jpeg_quant:bits=4") serve like any other
+// hardware, from the same spec strings as sweeps.
 //
 // Determinism contract (the sweep engine's bar, extended to the async path):
 // request id i evaluates under request_seed(seed, i) — a splitmix64-derived
@@ -36,7 +36,6 @@
 
 #include "data/synth_cifar.hpp"
 #include "defenses/registry.hpp"
-#include "hw/registry.hpp"
 #include "models/vgg.hpp"
 #include "serve/batcher.hpp"
 #include "serve/latency.hpp"
@@ -104,8 +103,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Builds the replicas (prototype first, then replicate() per extra lane)
-  // and spawns the worker lanes. Throws the registries' token-naming
+  // Builds the replicas (prototype first, then one defenses::prepare_arm
+  // replica per extra lane) and spawns the worker lanes. Throws the registries' token-naming
   // std::invalid_argument on a bad hw/defense spec.
   void start();
 
@@ -132,13 +131,8 @@ class Server {
 
  private:
   struct Lane {
-    models::Model model;
-    hw::BackendPtr inner;
-    hw::BackendPtr wrapped;  // defense wrapper; null = pass-through
+    defenses::PreparedArm arm;
     std::thread thread;
-    hw::HardwareBackend* serving() const {
-      return wrapped ? wrapped.get() : inner.get();
-    }
   };
 
   uint64_t now_us() const;

@@ -1,17 +1,12 @@
 // Defense arms inside the sweep engine: the acceptance property is that a
 // "smooth:" arm over an "sram:" backend — a randomized defense stacked on a
 // stochastic substrate — reproduces bit-identically at any lane count,
-// certified-radius column included, and that the defended single-row
-// al_curve_defended matches a one-row defended grid.
+// certified-radius column included.
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "data/synth_cifar.hpp"
 #include "defenses/registry.hpp"
-#include "exp/al_runner.hpp"
 #include "exp/sweep.hpp"
-#include "hw/registry.hpp"
 #include "models/zoo.hpp"
 
 namespace rhw::defenses {
@@ -136,44 +131,6 @@ TEST_F(DefenseSweepTest, NonCertifyingArmsReportZeroRadius) {
   }
 }
 
-// al_curve_defended is the serial single-row special case of a defended
-// grid: a one-row smoothed grid must reproduce it bit-for-bit (the defended
-// twin of SweepTest::SingleRowGridMatchesAlCurve).
-TEST_F(DefenseSweepTest, SingleRowDefendedGridMatchesAlCurveDefended) {
-  models::Model manual = models::clone_model(*model_, 0.125f, 16);
-  auto manual_sram = hw::make_backend("sram:sites=2,num_8t=2,vdd=0.6");
-  manual_sram->prepare(manual);
-  models::Model ref_clone = models::clone_model(*model_, 0.125f, 16);
-  auto manual_ideal = hw::make_backend("ideal");
-  manual_ideal->prepare(ref_clone);
-
-  const std::vector<float> eps{0.f, 0.1f, 0.2f};
-  const auto reference = exp::al_curve_defended(
-      "SH-smooth", *manual_ideal, *manual_sram, data_->test,
-      "smooth:sigma=0.2,samples=3", "fgsm", eps);
-
-  exp::SweepGrid grid;
-  grid.model = model_;
-  grid.width_mult = 0.125f;
-  grid.in_size = 16;
-  grid.eval_set = &data_->test;
-  grid.backends.push_back({"ideal", "ideal"});
-  grid.backends.push_back({"smoothsram", "sram:sites=2,num_8t=2,vdd=0.6",
-                           "smooth:sigma=0.2,samples=3"});
-  grid.modes.push_back({"SH-smooth", "ideal", "smoothsram"});
-  grid.attacks.push_back({"fgsm", eps});
-  const auto curve =
-      run_with_threads(grid, 3).curve("SH-smooth", "fgsm");
-
-  ASSERT_EQ(curve.points.size(), reference.points.size());
-  for (size_t i = 0; i < curve.points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(curve.points[i].clean_acc, reference.points[i].clean_acc)
-        << "eps " << eps[i];
-    EXPECT_DOUBLE_EQ(curve.points[i].adv_acc, reference.points[i].adv_acc)
-        << "eps " << eps[i];
-  }
-}
-
 TEST_F(DefenseSweepTest, TrainingTimeDefenseArmRunsAndReplicates) {
   exp::SweepGrid grid;
   grid.model = model_;
@@ -190,16 +147,6 @@ TEST_F(DefenseSweepTest, TrainingTimeDefenseArmRunsAndReplicates) {
   const auto serial = run_with_threads(grid, 1);
   const auto parallel = run_with_threads(grid, 3);
   expect_identical(serial, parallel);
-}
-
-TEST_F(DefenseSweepTest, TrainingTimeDefenseInAlCurveThrows) {
-  models::Model clone = models::clone_model(*model_, 0.125f, 16);
-  auto ideal = hw::make_backend("ideal");
-  ideal->prepare(clone);
-  const std::vector<float> eps{0.1f};
-  EXPECT_THROW(exp::al_curve_defended("AT", *ideal, *ideal, data_->test,
-                                      "adv_train", "fgsm", eps),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,12 +5,11 @@
 #include <fstream>
 
 #include "core/rng.hpp"
-#include "exp/al_runner.hpp"
+#include "data/synth_cifar.hpp"
+#include "exp/sweep.hpp"
 #include "exp/table_printer.hpp"
-#include "nn/activations.hpp"
+#include "models/zoo.hpp"
 #include "nn/init.hpp"
-#include "nn/linear.hpp"
-#include "nn/sequential.hpp"
 
 namespace rhw::exp {
 namespace {
@@ -44,12 +43,12 @@ TEST(TablePrinter, ShortRowsPadded) {
 }
 
 TEST(TablePrinter, Fmt) {
-  EXPECT_EQ(fmt(1.23456, 2), "1.23");
-  EXPECT_EQ(fmt(1.0, 0), "1");
-  EXPECT_EQ(fmt(-0.5, 3), "-0.500");
+  EXPECT_EQ(core::fmt(1.23456, 2), "1.23");
+  EXPECT_EQ(core::fmt(1.0, 0), "1");
+  EXPECT_EQ(core::fmt(-0.5, 3), "-0.500");
 }
 
-TEST(AlRunner, EpsilonGridsMatchPaper) {
+TEST(EpsilonGrids, MatchPaper) {
   const auto fe = fgsm_epsilons();
   ASSERT_EQ(fe.size(), 7u);
   EXPECT_EQ(fe.front(), 0.f);
@@ -60,51 +59,44 @@ TEST(AlRunner, EpsilonGridsMatchPaper) {
   EXPECT_FLOAT_EQ(pe.back(), 32.f / 255.f);
 }
 
-TEST(AlRunner, ZeroEpsilonPointHasZeroAl) {
-  nn::Sequential net;
-  net.emplace<nn::Linear>(4, 3);
-  rhw::RandomEngine rng(1);
-  nn::kaiming_init(net, rng);
-  net.set_training(false);
+// One AL(eps) row — a one-mode, one-attack FGSM grid on a small randomly
+// initialized VGG8 — run at one lane, the serial reference path.
+AlCurve one_row_curve(const std::vector<float>& eps) {
+  data::SynthCifarConfig dcfg;
+  dcfg.num_classes = 3;
+  dcfg.train_per_class = 1;
+  dcfg.test_per_class = 4;
+  dcfg.image_size = 16;
+  const data::SynthCifar data = data::make_synth_cifar(dcfg);
+  const models::Model model = models::build_model("vgg8", 3, 0.125f, 16);
+  rhw::RandomEngine rng(2);
+  nn::kaiming_init(*model.net, rng);
+  SweepGrid grid;
+  grid.model = &model;
+  grid.width_mult = 0.125f;
+  grid.in_size = 16;
+  grid.eval_set = &data.test;
+  grid.backends.push_back({"ideal", "ideal"});
+  grid.modes.push_back({"row", "ideal", "ideal"});
+  grid.attacks.push_back({"fgsm", eps});
+  SweepEngine::Options opt;
+  opt.threads = 1;
+  SweepEngine engine(opt);
+  return engine.run(grid).curve("row", "fgsm");
+}
 
-  data::Dataset ds;
-  ds.images = Tensor::rand_uniform({12, 4}, rng);
-  ds.images.reshape_inplace({12, 4});
-  ds.num_classes = 3;
-  for (int i = 0; i < 12; ++i) ds.labels.push_back(i % 3);
-  // Dataset::slice expects rank-4 images; reshape to [N,1,2,2].
-  ds.images.reshape_inplace({12, 1, 2, 2});
-
-  nn::Sequential wrapper;  // flatten then the linear net would be overkill;
-  // instead evaluate with a flatten stage.
-  auto& flat = wrapper.emplace<nn::Flatten>();
-  (void)flat;
-  wrapper.emplace<nn::Linear>(4, 3);
-  nn::kaiming_init(wrapper, rng);
-  wrapper.set_training(false);
-
-  const std::vector<float> eps{0.f, 0.1f};
-  const auto curve = al_curve("test", wrapper, wrapper, ds, "fgsm", eps);
+TEST(OneRowGrid, ZeroEpsilonPointHasZeroAl) {
+  const auto curve = one_row_curve({0.f, 0.1f});
   ASSERT_EQ(curve.points.size(), 2u);
   EXPECT_DOUBLE_EQ(curve.points[0].al, 0.0);
   EXPECT_DOUBLE_EQ(curve.points[0].clean_acc, curve.points[0].adv_acc);
   EXPECT_GE(curve.points[1].al, 0.0 - 1e-9);
-  EXPECT_EQ(curve.label, "test");
+  EXPECT_EQ(curve.label, "row");
 }
 
-TEST(AlRunner, CleanAccuracyConstantAcrossEpsilons) {
-  rhw::RandomEngine rng(2);
-  nn::Sequential net;
-  net.emplace<nn::Flatten>();
-  net.emplace<nn::Linear>(4, 2);
-  nn::kaiming_init(net, rng);
-  net.set_training(false);
-  data::Dataset ds;
-  ds.images = Tensor::rand_uniform({8, 1, 2, 2}, rng);
-  ds.num_classes = 2;
-  for (int i = 0; i < 8; ++i) ds.labels.push_back(i % 2);
-  const std::vector<float> eps{0.05f, 0.1f, 0.2f};
-  const auto curve = al_curve("x", net, net, ds, "fgsm", eps);
+TEST(OneRowGrid, CleanAccuracyConstantAcrossEpsilons) {
+  const auto curve = one_row_curve({0.05f, 0.1f, 0.2f});
+  ASSERT_EQ(curve.points.size(), 3u);
   for (const auto& pt : curve.points) {
     EXPECT_DOUBLE_EQ(pt.clean_acc, curve.points[0].clean_acc);
     EXPECT_NEAR(pt.al, pt.clean_acc - pt.adv_acc, 1e-9);

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/al_runner.hpp"
 #include "hw/registry.hpp"
 #include "hw/xbar_backend.hpp"
 
@@ -310,9 +309,8 @@ TEST(ExperimentOverrides, ToArgsRoundTripsBitExactly) {
 // -- golden grid expansions ---------------------------------------------------
 // The acceptance criterion: the presets expand to grids bit-identical to the
 // ones the pre-redesign bench binaries assembled imperatively. The expected
-// values below are copied from the deleted bench code
-// (bench_fig5_sram_al_curves.cpp / bench_fig8bc_defense_comparison.cpp as of
-// the PR that introduced the registry).
+// values below are copied from that deleted imperative code, which
+// `rhw_run fig5` and `rhw_run fig8bc` now replace.
 
 TEST(ExperimentGolden, Fig5ExpandsToThePreRedesignGrid) {
   const ExperimentSpec spec = ExperimentRegistry::instance().preset("fig5");
@@ -384,7 +382,7 @@ TEST(ExperimentGolden, Fig8bcExpandsToThePreRedesignGrid) {
   EXPECT_EQ(a->config().map.seed, b->config().map.seed);
 }
 
-// The smoke preset mirrors the old bench_sweep_smoke grid, with verify=1
+// `rhw_run sweep_smoke` mirrors the old imperative smoke grid, with verify=1
 // standing in for its built-in serial-parity check.
 TEST(ExperimentGolden, SweepSmokeKeepsTheStochasticAwareArms) {
   const ExperimentSpec spec =

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "data/synth_cifar.hpp"
-#include "exp/al_runner.hpp"
 #include "hw/registry.hpp"
 #include "models/zoo.hpp"
 
@@ -107,41 +106,6 @@ TEST_F(SweepTest, BitIdenticalAcrossRunsAndThreadCounts) {
   const auto parallel_again = run_with_threads(4);
   expect_identical(serial, parallel);
   expect_identical(parallel, parallel_again);
-}
-
-// al_curve is the single-row special case of the engine's seed derivation: a
-// one-mode grid must reproduce it bit-for-bit.
-TEST_F(SweepTest, SingleRowGridMatchesAlCurve) {
-  // Serial reference: manual clone + prepare, then al_curve.
-  models::Model manual = models::clone_model(*model_, 0.125f, 16);
-  auto manual_backend = hw::make_backend("sram:sites=2,num_8t=2,vdd=0.6");
-  manual_backend->prepare(manual);
-  const std::vector<float> eps{0.f, 0.1f, 0.2f};
-  const auto reference =
-      al_curve("SH", *model_->net, manual_backend->module(), data_->test,
-               "fgsm", eps);
-
-  SweepGrid grid;
-  grid.model = model_;
-  grid.width_mult = 0.125f;
-  grid.in_size = 16;
-  grid.eval_set = &data_->test;
-  grid.backends.push_back({"ideal", "ideal"});
-  grid.backends.push_back({"sram", "sram:sites=2,num_8t=2,vdd=0.6"});
-  grid.modes.push_back({"SH", "ideal", "sram"});
-  grid.attacks.push_back({"fgsm", eps});
-  SweepEngine::Options opt;
-  opt.threads = 3;
-  SweepEngine engine(opt);
-  const auto curve = engine.run(grid).curve("SH", "fgsm");
-
-  ASSERT_EQ(curve.points.size(), reference.points.size());
-  for (size_t i = 0; i < curve.points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(curve.points[i].clean_acc, reference.points[i].clean_acc)
-        << "eps " << eps[i];
-    EXPECT_DOUBLE_EQ(curve.points[i].adv_acc, reference.points[i].adv_acc)
-        << "eps " << eps[i];
-  }
 }
 
 // Defense-wrapped arms (inference-time wrapper around a noisy backend)
