@@ -4,7 +4,7 @@
 // The kernel-bound families (BM_Gemm*, BM_ConvForward, BM_SmoothVotes*) are
 // registered once per compute engine (core/engine_registry.hpp), so
 // BENCH_micro.json records each engine's perf trajectory side by side —
-// "BM_Gemm/simd/256" vs "BM_Gemm/blocked/256" and so on.
+// "BM_Gemm/simd/256" vs "BM_Gemm/naive/256" and so on.
 //
 // Unless the caller passes its own --benchmark_out, results are also written
 // as JSON to BENCH_micro.json so successive PRs accumulate a machine-readable
@@ -52,15 +52,13 @@ void BM_Gemm(benchmark::State& state, const char* engine_spec) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK_CAPTURE(BM_Gemm, naive, "naive")->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK_CAPTURE(BM_Gemm, blocked, "blocked")->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK_CAPTURE(BM_Gemm, simd, "simd")->Arg(64)->Arg(128)->Arg(256);
 
-// The ISSUE-6 acceptance shape: the im2col GEMM of VGG-8's largest conv at
-// full width (out_c=256, col_rows=256*3*3) over a fused batch of 32 samples
-// of 8x8 outputs — [256 x 2304] x [2304 x 2048]. The bar: simd >= 3x blocked
-// here on an AVX2 host. naive is deliberately not registered on this shape
-// (the double-accumulator reference is an order of magnitude slower and
-// exists for parity checking, not perf tracking).
+// The im2col GEMM of VGG-8's largest conv at full width (out_c=256,
+// col_rows=256*3*3) over a fused batch of 32 samples of 8x8 outputs —
+// [256 x 2304] x [2304 x 2048]. naive is deliberately not registered on this
+// shape (the double-accumulator reference is an order of magnitude slower
+// and exists for parity checking, not perf tracking).
 void BM_GemmConvVgg8(benchmark::State& state, const char* engine_spec) {
   core::EngineScope scope(engine_spec);
   constexpr int64_t kM = 256, kK = 2304, kN = 32 * 8 * 8;
@@ -77,8 +75,6 @@ void BM_GemmConvVgg8(benchmark::State& state, const char* engine_spec) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * kM * kN * kK);
 }
-BENCHMARK_CAPTURE(BM_GemmConvVgg8, blocked, "blocked")
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_GemmConvVgg8, simd, "simd")
     ->Unit(benchmark::kMillisecond);
 
@@ -95,7 +91,6 @@ void BM_ConvForward(benchmark::State& state, const char* engine_spec) {
   }
 }
 BENCHMARK_CAPTURE(BM_ConvForward, naive, "naive")->Arg(16)->Arg(32);
-BENCHMARK_CAPTURE(BM_ConvForward, blocked, "blocked")->Arg(16)->Arg(32);
 BENCHMARK_CAPTURE(BM_ConvForward, simd, "simd")->Arg(16)->Arg(32);
 
 // The six 3x3 convolutions of the zoo model (vgg8 at width 0.25 on 32x32
@@ -135,8 +130,6 @@ void BM_ConvZooVgg8(benchmark::State& state, const char* engine_spec) {
                  std::to_string(layer.out_c) + " @" +
                  std::to_string(layer.size) + "^2");
 }
-BENCHMARK_CAPTURE(BM_ConvZooVgg8, blocked, "blocked")
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {4, 64}});
 BENCHMARK_CAPTURE(BM_ConvZooVgg8, simd, "simd")
     ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {4, 64}});
 
@@ -341,8 +334,6 @@ void BM_SmoothVotesSequential(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_SmoothVotesSequential, naive, "naive")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SmoothVotesSequential, blocked, "blocked")
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SmoothVotesSequential, simd, "simd")
     ->Unit(benchmark::kMillisecond);
 
@@ -356,8 +347,6 @@ void BM_SmoothVotesBatched(benchmark::State& state, const char* engine_spec) {
   state.SetItemsProcessed(state.iterations() * bench.kBatch * bench.kSamples);
 }
 BENCHMARK_CAPTURE(BM_SmoothVotesBatched, naive, "naive")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SmoothVotesBatched, blocked, "blocked")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SmoothVotesBatched, simd, "simd")
     ->Unit(benchmark::kMillisecond);

@@ -8,59 +8,6 @@
 
 namespace rhw::core {
 
-namespace {
-
-// Packs op(X) (rows x cols either direct or transposed view of x) into a
-// contiguous row-major buffer. Packing keeps a single fast inner kernel for
-// all four transpose combinations.
-void pack_op(bool trans, int64_t rows, int64_t cols, const float* x,
-             int64_t ldx, float* out) {
-  if (!trans) {
-    for (int64_t i = 0; i < rows; ++i) {
-      const float* src = x + i * ldx;
-      std::copy(src, src + cols, out + i * cols);
-    }
-  } else {
-    // out[i][j] = x[j][i]
-    for (int64_t j = 0; j < cols; ++j) {
-      const float* src = x + j * ldx;
-      for (int64_t i = 0; i < rows; ++i) {
-        out[i * cols + j] = src[i];
-      }
-    }
-  }
-}
-
-// C[m x n] (ldc) += alpha * A[m x k] (row-major, contiguous) * B[k x n]
-// (row-major, contiguous). Rows are split across the pool by the caller.
-// ZeroSkip selects the opt-in "skip av == 0 terms" fast path (see the
-// zero_skip contract note in engine.hpp).
-template <bool ZeroSkip>
-void kernel_rows(int64_t row_begin, int64_t row_end, int64_t n, int64_t k,
-                 float alpha, const float* a, const float* b, float* c,
-                 int64_t ldc, int64_t bk, int64_t bn) {
-  for (int64_t k0 = 0; k0 < k; k0 += bk) {
-    const int64_t k1 = std::min(k, k0 + bk);
-    for (int64_t n0 = 0; n0 < n; n0 += bn) {
-      const int64_t n1 = std::min(n, n0 + bn);
-      for (int64_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * ldc;
-        for (int64_t p = k0; p < k1; ++p) {
-          const float av = alpha * arow[p];
-          if (ZeroSkip && av == 0.f) continue;
-          const float* brow = b + p * n;
-          for (int64_t j = n0; j < n1; ++j) {
-            crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
 namespace detail {
 
 void scale_c(int64_t m, int64_t n, float beta, float* c, int64_t ldc) {
@@ -77,8 +24,6 @@ void scale_c(int64_t m, int64_t n, float beta, float* c, int64_t ldc) {
 }
 
 }  // namespace detail
-
-using detail::scale_c;
 
 // -- default gemv -------------------------------------------------------------
 
@@ -183,57 +128,6 @@ void NaiveEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
                        const float* b, int64_t ldb, float beta, float* c,
                        int64_t ldc) const {
   gemm_naive(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
-// -- blocked ------------------------------------------------------------------
-
-BlockedEngine::BlockedEngine(const Config& cfg) :
-    Engine("blocked:bk=" + std::to_string(cfg.bk) +
-           ",bn=" + std::to_string(cfg.bn) +
-           ",zero_skip=" + std::to_string(cfg.zero_skip ? 1 : 0)),
-    cfg_(cfg) {}
-
-void BlockedEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                         int64_t k, float alpha, const float* a, int64_t lda,
-                         const float* b, int64_t ldb, float beta, float* c,
-                         int64_t ldc) const {
-  scale_c(m, n, beta, c, ldc);
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.f) return;
-
-  std::vector<float> a_packed;
-  const float* a_ptr = a;
-  if (trans_a || lda != k) {
-    a_packed.resize(static_cast<size_t>(m * k));
-    pack_op(trans_a, m, k, a, lda, a_packed.data());
-    a_ptr = a_packed.data();
-  }
-  std::vector<float> b_packed;
-  const float* b_ptr = b;
-  if (trans_b || ldb != n) {
-    b_packed.resize(static_cast<size_t>(k * n));
-    pack_op(trans_b, k, n, b, ldb, b_packed.data());
-    b_ptr = b_packed.data();
-  }
-
-  auto rows = [&](int64_t begin, int64_t end) {
-    if (cfg_.zero_skip) {
-      kernel_rows<true>(begin, end, n, k, alpha, a_ptr, b_ptr, c, ldc,
-                        cfg_.bk, cfg_.bn);
-    } else {
-      kernel_rows<false>(begin, end, n, k, alpha, a_ptr, b_ptr, c, ldc,
-                         cfg_.bk, cfg_.bn);
-    }
-  };
-
-  // Only parallelize when the work is worth the synchronization cost. Row
-  // chunks write disjoint C rows with a fixed per-element accumulation
-  // order, so results are bit-identical at any thread count.
-  const int64_t flops = m * n * k;
-  if (flops < (1 << 16)) {
-    rows(0, m);
-    return;
-  }
-  parallel_for(m, rows);
 }
 
 }  // namespace rhw::core

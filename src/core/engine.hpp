@@ -10,18 +10,16 @@
 // impact table):
 //
 //   naive                      reference triple loop, double accumulators
-//   blocked[:bk=,bn=,zero_skip=]   cache-blocked scalar kernel (the default)
 //   simd[:threads=,mr=,nr=]    register-tiled packed-panel micro-kernel GEMM
 //                              (AVX2/FMA on x86-64, NEON on aarch64, portable
-//                              fallback elsewhere), vectorized GEMV
+//                              fallback elsewhere), vectorized GEMV; the
+//                              default
 //
 // Numeric contract (asserted by tests/core/test_engine_registry.cpp):
 //
 //   * alpha == 0 never reads A or B (C = beta * C exactly);
 //   * beta == 0 overwrites C — stale NaN/Inf in C never survives;
-//   * NaN/Inf in A or B propagate into C exactly as in the naive reference,
-//     UNLESS the engine opted into zero-skipping (blocked:zero_skip=1),
-//     which trades that propagation for skipped multiply-accumulate work;
+//   * NaN/Inf in A or B propagate into C exactly as in the naive reference;
 //   * every engine is deterministic: for a fixed spec the result is a pure
 //     function of the inputs, bit-identical at any thread/lane count.
 //
@@ -98,26 +96,6 @@ class NaiveEngine : public Engine {
   void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             float alpha, const float* a, int64_t lda, const float* b,
             int64_t ldb, float beta, float* c, int64_t ldc) const override;
-};
-
-// The historical cache-blocked scalar kernel with its block sizes exposed.
-// zero_skip=1 restores the old "skip av == 0 terms" fast path, which drops
-// NaN/Inf propagation from B on zero rows of A — off by default.
-class BlockedEngine : public Engine {
- public:
-  struct Config {
-    int64_t bk = 256;  // k-dimension block
-    int64_t bn = 512;  // n-dimension block
-    bool zero_skip = false;
-  };
-  explicit BlockedEngine(const Config& cfg);
-  std::string key() const override { return "blocked"; }
-  void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-            float alpha, const float* a, int64_t lda, const float* b,
-            int64_t ldb, float beta, float* c, int64_t ldc) const override;
-
- private:
-  Config cfg_;
 };
 
 namespace detail {

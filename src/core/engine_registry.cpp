@@ -1,7 +1,6 @@
 #include "core/engine_registry.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -14,7 +13,7 @@ namespace {
 
 // Typed option extraction with leftover rejection, shared with the other
 // four registries (core/spec.hpp). The "engine" domain string keeps the
-// common error-message shape ("engine option bk: bad integer 'abc'").
+// common error-message shape ("engine option mr: bad integer 'abc'").
 OptionReader reader_for(const std::string& engine, const EngineOptions& opts) {
   return OptionReader("engine", engine, opts);
 }
@@ -23,23 +22,6 @@ EnginePtr make_naive(const EngineOptions& opts) {
   auto reader = reader_for("naive", opts);
   reader.finish();
   return std::make_shared<NaiveEngine>();
-}
-
-EnginePtr make_blocked(const EngineOptions& opts) {
-  auto reader = reader_for("blocked", opts);
-  BlockedEngine::Config cfg;
-  cfg.bk = static_cast<int64_t>(
-      reader.integer("bk", static_cast<uint64_t>(cfg.bk)));
-  cfg.bn = static_cast<int64_t>(
-      reader.integer("bn", static_cast<uint64_t>(cfg.bn)));
-  cfg.zero_skip = reader.integer("zero_skip", 0) != 0;
-  reader.finish();
-  if (cfg.bk < 1 || cfg.bn < 1) {
-    throw std::invalid_argument("engine blocked: bk and bn must be >= 1 (got "
-                                "bk=" + std::to_string(cfg.bk) +
-                                ", bn=" + std::to_string(cfg.bn) + ")");
-  }
-  return std::make_shared<BlockedEngine>(cfg);
 }
 
 EnginePtr make_simd(const EngineOptions& opts) {
@@ -59,7 +41,6 @@ EnginePtr make_simd(const EngineOptions& opts) {
 
 EngineRegistry::EngineRegistry() {
   factories_["naive"] = make_naive;
-  factories_["blocked"] = make_blocked;
   factories_["simd"] = make_simd;
 }
 
@@ -132,15 +113,14 @@ const Engine* pin(EnginePtr engine) {
 const Engine& active_engine() {
   const Engine* engine = g_active.load(std::memory_order_acquire);
   if (engine != nullptr) return *engine;
-  // Lazy default: $RHW_ENGINE, else "blocked" (bit-compatible with the
-  // historical kernel). Double-checked so racing first calls agree.
+  // Lazy default: simd with its default tile, built directly rather than
+  // through the registry, whose "simd" factory a caller may have replaced.
+  // Double-checked so racing first calls agree.
   std::lock_guard<std::mutex> lock(g_active_mutex);
   engine = g_active.load(std::memory_order_relaxed);
   if (engine == nullptr) {
-    // rhw-lint: allow(env) — CI's engine matrix sets it until simd is default
-    const char* env = std::getenv("RHW_ENGINE");
     pinned_engines().push_back(
-        make_engine(env != nullptr && *env != '\0' ? env : "blocked"));
+        std::make_shared<SimdEngine>(SimdEngine::Config{}));
     engine = pinned_engines().back().get();
     g_active.store(engine, std::memory_order_release);
   }

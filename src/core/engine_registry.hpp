@@ -4,22 +4,21 @@
 // contract:
 //
 //   auto engine = core::make_engine("simd:mr=6,nr=16");
-//   core::set_active_engine("blocked:bk=128");   // process-wide
+//   core::set_active_engine("naive");   // process-wide
 //
 // Built-in keys and their options (docs/ENGINES.md has defaults, contract
 // and measured impact):
 //
 //   naive     (no options)   reference triple loop, double accumulators
-//   blocked   bk=<n> bn=<n> zero_skip=<0|1>   cache-blocked scalar kernel
 //   simd      mr=<1|2|4|6|8> nr=<8|16> threads=<0|1>   register-tiled
 //             micro-kernel GEMM (AVX2/FMA, NEON, portable fallback)
 //
 // The *active* engine is a process-wide selection that every core::gemm /
-// core::gemv / fused-conv call routes through. It is lazily initialized from
-// $RHW_ENGINE (default "blocked" — bit-compatible with the historical
-// kernel); ExperimentRegistry::run_experiment sets it from the experiment's
-// `engine=` knob before any cell runs, and the chosen canonical spec is
-// recorded in every rhw-sweep-v4 artifact. Selection is cheap (one atomic
+// core::gemv / fused-conv call routes through. It defaults to simd with its
+// default tile ("simd:mr=6,nr=16,threads=0");
+// ExperimentRegistry::run_experiment sets it from the experiment's `engine=`
+// knob before any cell runs, and the chosen canonical spec is recorded in
+// every rhw-sweep-v4 artifact. Selection is cheap (one atomic
 // load per kernel call) and set_active_engine is safe to call from any
 // thread, but swapping engines mid-computation gives no ordering guarantee —
 // experiments swap once, up front.
@@ -60,7 +59,7 @@ class EngineRegistry {
 EnginePtr make_engine(const std::string& spec);
 
 // The engine every core::gemm / core::gemv / fused-conv call dispatches to.
-// Lazily initialized from $RHW_ENGINE (default "blocked") on first use.
+// Lazily initialized to simd with its default tile on first use.
 const Engine& active_engine();
 
 // Replaces the active engine process-wide. Engines set here stay alive for

@@ -7,8 +7,7 @@ namespace rhw {
 
 // The free functions are the stable call surface for layer code; since the
 // engine seam landed they are one-line dispatchers to the process-wide
-// active engine (core/engine_registry.hpp). The historical blocked kernel
-// lives on as core::BlockedEngine — still the default selection.
+// active engine (core/engine_registry.hpp), simd unless one is selected.
 
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, int64_t lda, const float* b, int64_t ldb,

@@ -7,9 +7,8 @@
 // hot loop of the whole repo (conv via im2col and all linear layers).
 //
 // Both calls dispatch to the process-wide active core::Engine — select it
-// with core::set_active_engine / $RHW_ENGINE / the experiment `engine=` knob
-// (core/engine_registry.hpp, docs/ENGINES.md). The default engine "blocked"
-// is the historical cache-blocked kernel, unchanged.
+// with core::set_active_engine or the experiment `engine=` knob
+// (core/engine_registry.hpp, docs/ENGINES.md). The default engine is simd.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,7 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float beta, float* c, int64_t ldc);
 
 // Reference implementation (naive triple loop) used by tests to validate the
-// blocked kernel.
+// active engine.
 void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 float alpha, const float* a, int64_t lda, const float* b,
                 int64_t ldb, float beta, float* c, int64_t ldc);

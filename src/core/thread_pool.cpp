@@ -36,10 +36,16 @@ void ThreadPool::worker_loop() {
       task = queue_.back();
       queue_.pop_back();
     }
-    (*task.fn)(task.begin, task.end);
+    std::exception_ptr error;
+    try {
+      (*task.fn)(task.begin, task.end);
+    } catch (...) {
+      error = std::current_exception();
+    }
     // Notify while holding the lock: once pending reaches 0 the caller may
     // return and destroy the latch.
     std::lock_guard lock(mutex_);
+    if (error && !task.latch->error) task.latch->error = error;
     if (--task.latch->pending == 0) task.latch->done.notify_all();
   }
 }
@@ -80,6 +86,7 @@ void ThreadPool::parallel_for(int64_t n,
   {
     std::unique_lock lock(mutex_);
     latch.done.wait(lock, [&latch] { return latch.pending == 0; });
+    if (!error) error = latch.error;
   }
   if (error) std::rethrow_exception(error);
 }

@@ -6,6 +6,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -28,15 +29,18 @@ class ThreadPool {
   // every chunk of *this call* completes: each call waits on its own
   // completion latch, so concurrent callers (serve lanes, a sweep's caller
   // lane) never wait on each other's chunks. Reentrant calls from inside a
-  // worker fall back to serial execution to avoid deadlock.
+  // worker fall back to serial execution to avoid deadlock. An exception
+  // thrown by any chunk, on the caller or on a worker, is rethrown here
+  // after every chunk of the call has finished (the first one wins).
   void parallel_for(int64_t n,
                     const std::function<void(int64_t, int64_t)>& fn);
 
  private:
   // One per parallel_for call: the count of its chunks still queued or
-  // running. Guarded by mutex_.
+  // running, and the first exception one of them threw. Guarded by mutex_.
   struct Latch {
     int64_t pending = 0;
+    std::exception_ptr error;
     std::condition_variable done;
   };
   struct Task {

@@ -347,7 +347,7 @@ void ExperimentSpec::apply_override(const std::string& token) {
   } else if (key == "engine") {
     // Fail fast through the live registry so a typo'd engine token reports
     // the same "engine spec '...': ..." error as the other seams; empty
-    // resets to the $RHW_ENGINE / "blocked" default.
+    // resets to the default (the active engine, simd unless selected).
     if (!value.empty()) (void)core::make_engine(value);
     engine = value;
   } else if (key == "trials") {

@@ -97,9 +97,10 @@ struct ExperimentSpec {
   std::vector<ExperimentPanel> panels;
   std::string train = "zoo";  // "zoo" | "quick[:epochs=,batch=]" | "none"
   // core::EngineRegistry spec every kernel of the run dispatches through
-  // ("naive" | "blocked:bk=,bn=" | "simd:mr=,nr="). "" defers to $RHW_ENGINE
-  // (default "blocked"); the driver resolves it to the active engine's
-  // canonical spec before stamping, so artifacts always record the engine.
+  // ("naive" | "simd:mr=,nr=,threads="). "" defers to the active engine
+  // (simd unless the caller selected another); the driver resolves it to
+  // that engine's canonical spec before stamping, so artifacts always
+  // record the engine.
   std::string engine;
   int64_t eval_count = 256;   // test-head size through exp::eval_count; 0 = all
   std::vector<ExperimentBackend> backends;

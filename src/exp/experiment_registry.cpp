@@ -402,10 +402,11 @@ std::vector<SweepResult> run_experiment(
   }
 
   // Resolve the compute engine before any panel work (training included):
-  // the explicit engine= knob, else whatever $RHW_ENGINE / "blocked" lazily
-  // resolves to. The scope pins it for the whole run and restores the prior
-  // selection afterwards; spec.engine becomes the active engine's canonical
-  // spec so the artifact's canonical args record the actual kernel used.
+  // the explicit engine= knob, else the active engine (simd unless the
+  // caller selected another). The scope pins it for the whole run and
+  // restores the prior selection afterwards; spec.engine becomes the active
+  // engine's canonical spec so the artifact's canonical args record the
+  // actual kernel used.
   if (spec.engine.empty()) spec.engine = core::active_engine().spec();
   core::EngineScope engine_scope(spec.engine);
   spec.engine = core::active_engine().spec();

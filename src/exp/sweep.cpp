@@ -12,7 +12,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -365,11 +364,13 @@ SweepResult SweepEngine::run(const SweepGrid& grid) {
   std::atomic<bool> abort{false};
 
   // Checks the replica back in even when evaluation throws, so other lanes
-  // reuse it instead of stamping fresh clones during an aborting run.
+  // reuse it instead of stamping fresh clones during an aborting run. A null
+  // pool checks nothing out (rep stays null).
   struct Checkout {
     Pool* pool = nullptr;
     Pool::Replica* rep = nullptr;
-    Checkout(Pool& p, const SweepGrid& g) : pool(&p), rep(p.checkout(g)) {}
+    Checkout(Pool* p, const SweepGrid& g)
+        : pool(p), rep(p != nullptr ? p->checkout(g) : nullptr) {}
     ~Checkout() {
       if (pool != nullptr && rep != nullptr) pool->checkin(rep);
     }
@@ -380,7 +381,7 @@ SweepResult SweepEngine::run(const SweepGrid& grid) {
   auto run_task = [&](const Task& task) {
     if (task.clean) {
       Pool& pool = *pools_[task.pool];
-      const Checkout rep(pool, grid);
+      const Checkout rep(&pool, grid);
       const double acc = attacks::clean_accuracy(
           rep.rep->serving()->module(), *grid.eval_set, grid.base.batch_size,
           sweep_clean_seed(grid.base.seed, task.trial));
@@ -414,14 +415,13 @@ SweepResult SweepEngine::run(const SweepGrid& grid) {
     const ModeIdx& mi = mode_pools[cell.mode];
     // grad == eval must run through ONE replica: HH crafts and evaluates on
     // the same network instance, exactly like the serial path.
-    const Checkout grad_rep(*pools_[mi.grad], grid);
-    const std::optional<Checkout> eval_rep =
-        mi.grad == mi.eval ? std::nullopt
-                           : std::optional<Checkout>(std::in_place,
-                                                     *pools_[mi.eval], grid);
+    const Checkout grad_rep(pools_[mi.grad].get(), grid);
+    const Checkout eval_rep(
+        mi.grad == mi.eval ? nullptr : pools_[mi.eval].get(), grid);
     nn::Module& grad_net = grad_rep.rep->serving()->module();
-    nn::Module& eval_net =
-        eval_rep ? eval_rep->rep->serving()->module() : grad_net;
+    nn::Module& eval_net = eval_rep.rep != nullptr
+                               ? eval_rep.rep->serving()->module()
+                               : grad_net;
     attacks::AdvEvalConfig cfg = grid.base;
     cfg.attack = grid.attacks[cell.attack].spec;
     cfg.epsilon = cell.epsilon;

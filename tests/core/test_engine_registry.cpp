@@ -1,15 +1,16 @@
 // EngineRegistry seam tests: registry error parity with the other four
 // registries, the numeric contract from engine.hpp (alpha==0 / beta==0 /
-// NaN propagation / zero_skip opt-out), per-engine parity versus the naive
-// reference, the fused batched conv against a per-sample reference, and the
+// NaN propagation), per-engine parity versus the naive reference, the fused batched conv against a per-sample reference, and the
 // active-engine selection machinery (EngineScope, determinism).
 #include "core/engine_registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -38,7 +39,7 @@ float flop_tol(int64_t k) {
   return 1e-6f * static_cast<float>(std::max<int64_t>(k, 1)) * 8.f + 1e-6f;
 }
 
-const char* const kAllEngines[] = {"naive", "blocked", "simd"};
+const char* const kAllEngines[] = {"naive", "simd"};
 
 // -- registry surface ---------------------------------------------------------
 
@@ -60,13 +61,12 @@ TEST(EngineRegistry, UnknownKeyThrowsWithTokenNaming) {
     EXPECT_NE(msg.find("unknown compute engine"), std::string::npos) << msg;
     EXPECT_NE(msg.find("cublas"), std::string::npos) << msg;
     EXPECT_NE(msg.find("registered:"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("blocked"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("simd"), std::string::npos) << msg;
   }
 }
 
 TEST(EngineRegistry, UnknownOptionThrows) {
   EXPECT_THROW(core::make_engine("naive:x=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("blocked:bogus=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:lanes=4"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
 }
 
@@ -74,19 +74,17 @@ TEST(EngineRegistry, UnknownOptionThrows) {
 // same contract as the hw/attack/defense/experiment registries.
 TEST(EngineRegistry, ParseErrorNamesKeyValueAndSpec) {
   try {
-    core::make_engine("blocked:bk=abc");  // rhw-lint: allow(spec) stale on purpose
+    core::make_engine("simd:mr=abc");  // rhw-lint: allow(spec) stale on purpose
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("bk"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("mr"), std::string::npos) << msg;
     EXPECT_NE(msg.find("abc"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("blocked:bk=abc"), std::string::npos) << msg;  // rhw-lint: allow(spec) stale on purpose
+    EXPECT_NE(msg.find("simd:mr=abc"), std::string::npos) << msg;  // rhw-lint: allow(spec) stale on purpose
   }
 }
 
 TEST(EngineRegistry, InvalidKnobValuesThrow) {
-  EXPECT_THROW(core::make_engine("blocked:bk=0"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("blocked:bn=-4"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:mr=3"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:nr=12"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:mr=7.5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
@@ -94,10 +92,6 @@ TEST(EngineRegistry, InvalidKnobValuesThrow) {
 
 TEST(EngineRegistry, CanonicalSpecSpellsOutEveryKnob) {
   EXPECT_EQ(core::make_engine("naive")->spec(), "naive");
-  EXPECT_EQ(core::make_engine("blocked")->spec(),
-            "blocked:bk=256,bn=512,zero_skip=0");
-  EXPECT_EQ(core::make_engine("blocked:bk=64")->spec(),
-            "blocked:bk=64,bn=512,zero_skip=0");
   EXPECT_EQ(core::make_engine("simd")->spec(), "simd:mr=6,nr=16,threads=0");
   EXPECT_EQ(core::make_engine("simd:mr=8,nr=8")->spec(),
             "simd:mr=8,nr=8,threads=0");
@@ -146,7 +140,7 @@ TEST_P(EngineContract, BetaZeroOverwritesStaleNaN) {
 
 TEST_P(EngineContract, NaNInInputsPropagates) {
   // A zero row in A multiplying a NaN in B still yields NaN (0 * NaN = NaN)
-  // for every default-configured engine — zero_skip is opt-in.
+  // on every engine: no kernel skips zero terms.
   auto engine = core::make_engine(GetParam());
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> a{0, 0, 1, 1};   // row 0 all zeros
@@ -177,25 +171,6 @@ TEST_P(EngineContract, DeterministicAcrossRepeats) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineContract,
                          ::testing::ValuesIn(kAllEngines));
-
-TEST(EngineContract, ZeroSkipDropsNaNPropagation) {
-  // blocked:zero_skip=1 restores the historical fast path: a zero element of
-  // A skips its multiply, so NaN in the corresponding B row is dropped.
-  auto skipping = core::make_engine("blocked:zero_skip=1");
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const std::vector<float> a{0, 1};  // 1x2, first element zero
-  const std::vector<float> b{nan, 2};  // 2x1, NaN sits on the skipped row
-  std::vector<float> c{0.f};
-  skipping->gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f,
-                 c.data(), 1);
-  EXPECT_FLOAT_EQ(c[0], 2.f) << "zero_skip=1 should skip the 0 * NaN term";
-
-  auto strict = core::make_engine("blocked:zero_skip=0");
-  c[0] = 0.f;
-  strict->gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f,
-               c.data(), 1);
-  EXPECT_TRUE(std::isnan(c[0])) << "default blocked must propagate NaN";
-}
 
 // -- parity versus naive ------------------------------------------------------
 
@@ -236,8 +211,7 @@ TEST_P(EngineParity, MatchesNaiveAcrossShapes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineParity,
-    ::testing::Combine(::testing::Values("blocked", "blocked:bk=16,bn=32",
-                                         "simd", "simd:mr=1,nr=8",
+    ::testing::Combine(::testing::Values("simd", "simd:mr=1,nr=8",
                                          "simd:mr=8,nr=8", "simd:mr=4,nr=16",
                                          "simd:threads=1"),
                        ::testing::Bool(), ::testing::Bool()));
@@ -471,26 +445,59 @@ TEST(EngineScope, SelectsAndRestores) {
   EXPECT_EQ(core::active_engine().spec(), before);
 }
 
+// With nothing selected, every kernel call runs on simd with its default
+// tile, and the driver stamps that canonical spec into artifacts.
+TEST(EngineScope, DefaultEngineIsSimd) {
+  EXPECT_EQ(core::active_engine().spec(), "simd:mr=6,nr=16,threads=0");
+}
+
+// Counts the calls it forwards to the naive reference, so the test can see
+// which engine the free functions reached.
+class CountingEngine : public core::Engine {
+ public:
+  explicit CountingEngine(std::shared_ptr<std::atomic<int>> calls)
+      : Engine("counting"), calls_(std::move(calls)) {}
+  std::string key() const override { return "counting"; }
+  void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+            float alpha, const float* a, int64_t lda, const float* b,
+            int64_t ldb, float beta, float* c, int64_t ldc) const override {
+    ++*calls_;
+    naive_.gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                ldc);
+  }
+  void gemv(bool trans_a, int64_t m, int64_t n, float alpha, const float* a,
+            int64_t lda, const float* x, float beta, float* y) const override {
+    ++*calls_;
+    naive_.gemv(trans_a, m, n, alpha, a, lda, x, beta, y);
+  }
+
+ private:
+  std::shared_ptr<std::atomic<int>> calls_;
+  core::NaiveEngine naive_;
+};
+
 TEST(EngineScope, FreeGemmRoutesThroughActiveEngine) {
-  // zero_skip=1 is observable through the free-function dispatcher: the
-  // 0 * NaN term disappears exactly when that engine is active.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const std::vector<float> a{0, 1};
-  const std::vector<float> b{nan, 2};
-  std::vector<float> c{0.f};
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  core::EngineRegistry::instance().add(
+      "counting", [calls](const core::EngineOptions&) -> core::EnginePtr {
+        return std::make_shared<CountingEngine>(calls);
+      });
+  const std::vector<float> a{1, 2, 3, 4};
+  const std::vector<float> x{1, 1};
+  std::vector<float> c(4, 0.f);
+  std::vector<float> y(2, 0.f);
   {
-    core::EngineScope scope("blocked:zero_skip=1");
-    gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f, c.data(),
-         1);
+    core::EngineScope scope("counting");
+    gemm(false, false, 2, 2, 2, 1.f, a.data(), 2, a.data(), 2, 0.f, c.data(),
+         2);
+    gemv(false, 2, 2, 1.f, a.data(), 2, x.data(), 0.f, y.data());
   }
-  EXPECT_FLOAT_EQ(c[0], 2.f);
-  c[0] = 0.f;
-  {
-    core::EngineScope scope("blocked");
-    gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f, c.data(),
-         1);
-  }
-  EXPECT_TRUE(std::isnan(c[0]));
+  EXPECT_EQ(calls->load(), 2);
+  EXPECT_EQ(c, (std::vector<float>{7, 10, 15, 22}));
+  EXPECT_EQ(y, (std::vector<float>{3, 7}));
+  // Outside the scope the free functions no longer reach the counting engine.
+  gemm(false, false, 2, 2, 2, 1.f, a.data(), 2, a.data(), 2, 0.f, c.data(), 2);
+  EXPECT_EQ(calls->load(), 2);
 }
 
 TEST(EngineScope, SetActiveEngineRejectsNull) {

@@ -55,7 +55,7 @@ TEST(Gemm, AlphaScales) {
   EXPECT_FLOAT_EQ(c[0], 3.f);
 }
 
-// Property sweep: blocked kernel must agree with the naive reference for all
+// Property sweep: the active engine must agree with the naive reference for all
 // four transpose combinations and a spread of (awkward) sizes.
 class GemmParity
     : public ::testing::TestWithParam<std::tuple<bool, bool, int, int, int>> {};

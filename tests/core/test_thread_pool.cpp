@@ -6,6 +6,7 @@
 #include <chrono>
 #include <future>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -84,6 +85,27 @@ TEST(ThreadPool, ConcurrentCallerDoesNotWaitForAnotherCallersChunk) {
   caller_a.join();
   ASSERT_TRUE(b_returned) << "caller B waited for caller A's parked chunk";
   EXPECT_EQ(caller_b.get(), 2);
+}
+
+// A chunk that throws on a worker must reach the caller, not terminate the
+// process, and the pool must stay usable afterwards.
+TEST(ThreadPool, WorkerExceptionIsRethrownInCaller) {
+  ThreadPool pool(3);
+  std::atomic<int64_t> covered{0};
+  try {
+    pool.parallel_for(4, [&](int64_t b, int64_t e) {
+      if (b > 0) throw std::runtime_error("worker chunk failed");
+      covered += e - b;
+    });
+    FAIL() << "expected the worker chunk's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker chunk failed");
+  }
+  EXPECT_EQ(covered.load(), 1);
+
+  std::atomic<int64_t> sum{0};
+  pool.parallel_for(100, [&](int64_t b, int64_t e) { sum += e - b; });
+  EXPECT_EQ(sum.load(), 100);
 }
 
 TEST(ThreadPool, ManySequentialDispatches) {

@@ -4,10 +4,14 @@
 // certified-radius column included.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/rng.hpp"
 #include "data/synth_cifar.hpp"
 #include "defenses/registry.hpp"
 #include "exp/sweep.hpp"
 #include "models/zoo.hpp"
+#include "nn/init.hpp"
 
 namespace rhw::defenses {
 namespace {
@@ -22,6 +26,9 @@ class DefenseSweepTest : public ::testing::Test {
     dcfg.image_size = 16;
     data_ = new data::SynthCifar(data::make_synth_cifar(dcfg));
     model_ = new models::Model(models::build_model("vgg8", 4, 0.125f, 16));
+    // build_model leaves weights at zero, which would make every logit 0.
+    RandomEngine rng(3);
+    nn::kaiming_init(*model_->net, rng);
     model_->net->set_training(false);
   }
   static void TearDownTestSuite() {
@@ -78,6 +85,17 @@ class DefenseSweepTest : public ::testing::Test {
 
 data::SynthCifar* DefenseSweepTest::data_ = nullptr;
 models::Model* DefenseSweepTest::model_ = nullptr;
+
+// The parity checks below compare real logits, not the constant output of
+// an all-zero model.
+TEST_F(DefenseSweepTest, FixtureModelLogitsDependOnInput) {
+  const Tensor logits = model_->net->forward(data_->test.slice(0, 2).images);
+  const int64_t classes = logits.dim(1);
+  const std::vector<float> first(logits.data(), logits.data() + classes);
+  const std::vector<float> second(logits.data() + classes,
+                                  logits.data() + 2 * classes);
+  EXPECT_NE(first, second);
+}
 
 // The acceptance criterion: a smooth-over-sram arm is bit-identical at 1 vs
 // N lanes — the smoothing noise, the bit-error noise, and the certification

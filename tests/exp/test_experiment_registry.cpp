@@ -157,7 +157,7 @@ TEST(ExperimentOverrides, ErrorsNameTheOffendingToken) {
 // token-naming error.
 TEST(ExperimentOverrides, EngineKnobValidatesAndRoundTrips) {
   ExperimentSpec spec = ExperimentRegistry::instance().preset("sweep_smoke");
-  EXPECT_TRUE(spec.engine.empty());  // presets defer to $RHW_ENGINE
+  EXPECT_TRUE(spec.engine.empty());  // presets defer to the default engine
 
   spec.apply_override("engine=simd:mr=8,nr=8");
   EXPECT_EQ(spec.engine, "simd:mr=8,nr=8");
@@ -185,7 +185,7 @@ TEST(ExperimentOverrides, EngineKnobValidatesAndRoundTrips) {
   EXPECT_THROW(spec.apply_override("engine=simd:mr=3"), std::invalid_argument);
   // A stale engine token planted directly in the spec is caught by the same
   // up-front validate() that vets hw/defense/attack specs.
-  spec.engine = "blocked:bk=0";  // rhw-lint: allow(spec) stale on purpose
+  spec.engine = "simd:mr=3";  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 

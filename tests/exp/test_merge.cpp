@@ -93,7 +93,7 @@ class MergeTest : public ::testing::Test {
   static ExperimentStamp make_stamp() {
     ExperimentStamp stamp;
     stamp.preset = "merge_unit";
-    stamp.canonical = {"panels+=vgg8/tiny", "engine=blocked:bk=64,bn=64",
+    stamp.canonical = {"panels+=vgg8/tiny", "engine=naive",
                        "trials=2", "seed=12345", "out=BENCH_merge_unit.json"};
     return stamp;
   }
@@ -214,7 +214,7 @@ TEST_F(MergeTest, MismatchedEngineStampRefusesBeforeSpecDiff) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("engine stamp mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("engine=blocked:bk=64,bn=64"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine=naive"), std::string::npos) << what;
     EXPECT_NE(what.find("engine=simd:mr=8,nr=8"), std::string::npos) << what;
   }
   fs::remove(a);

@@ -7,10 +7,13 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
+#include "core/rng.hpp"
 #include "data/synth_cifar.hpp"
 #include "hw/registry.hpp"
 #include "models/zoo.hpp"
+#include "nn/init.hpp"
 
 namespace rhw::exp {
 namespace {
@@ -27,6 +30,9 @@ class SweepTest : public ::testing::Test {
     dcfg.image_size = 16;
     data_ = new data::SynthCifar(data::make_synth_cifar(dcfg));
     model_ = new models::Model(models::build_model("vgg8", 4, 0.125f, 16));
+    // build_model leaves weights at zero, which would make every logit 0.
+    RandomEngine rng(3);
+    nn::kaiming_init(*model_->net, rng);
     model_->net->set_training(false);
   }
   static void TearDownTestSuite() {
@@ -82,6 +88,17 @@ class SweepTest : public ::testing::Test {
 
 data::SynthCifar* SweepTest::data_ = nullptr;
 models::Model* SweepTest::model_ = nullptr;
+
+// The parity checks below compare real logits, not the constant output of
+// an all-zero model.
+TEST_F(SweepTest, FixtureModelLogitsDependOnInput) {
+  const Tensor logits = model_->net->forward(data_->test.slice(0, 2).images);
+  const int64_t classes = logits.dim(1);
+  const std::vector<float> first(logits.data(), logits.data() + classes);
+  const std::vector<float> second(logits.data() + classes,
+                                  logits.data() + 2 * classes);
+  EXPECT_NE(first, second);
+}
 
 TEST_F(SweepTest, GridShapeAndZeroEpsilonRows) {
   const auto result = run_with_threads(2);

@@ -13,6 +13,7 @@
 #include "defenses/registry.hpp"
 #include "hw/registry.hpp"
 #include "models/zoo.hpp"
+#include "nn/init.hpp"
 #include "nn/module.hpp"
 #include "serve/batcher.hpp"
 
@@ -97,6 +98,9 @@ class ServerTest : public ::testing::Test {
     dcfg.image_size = 16;
     data_ = new data::SynthCifar(data::make_synth_cifar(dcfg));
     model_ = new models::Model(models::build_model("vgg8", 4, 0.125f, 16));
+    // build_model leaves weights at zero, which would make every logit 0.
+    RandomEngine rng(3);
+    nn::kaiming_init(*model_->net, rng);
     model_->net->set_training(false);
   }
   static void TearDownTestSuite() {
@@ -186,6 +190,17 @@ class ServerTest : public ::testing::Test {
 
 data::SynthCifar* ServerTest::data_ = nullptr;
 models::Model* ServerTest::model_ = nullptr;
+
+// The parity checks below compare real logits, not the constant output of
+// an all-zero model.
+TEST_F(ServerTest, FixtureModelLogitsDependOnInput) {
+  const Tensor logits = model_->net->forward(data_->test.slice(0, 2).images);
+  const int64_t classes = logits.dim(1);
+  const std::vector<float> first(logits.data(), logits.data() + classes);
+  const std::vector<float> second(logits.data() + classes,
+                                  logits.data() + 2 * classes);
+  EXPECT_NE(first, second);
+}
 
 // A noise-free arm serves through the fused batched forward; every reply must
 // be bit-identical to a serial forward of the same request on an identically
