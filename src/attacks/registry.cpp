@@ -1,7 +1,6 @@
 #include "attacks/registry.hpp"
 
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "attacks/fgsm.hpp"
@@ -162,54 +161,23 @@ AttackPtr make_square(const AttackOptions& opts) {
 
 }  // namespace
 
-AttackRegistry::AttackRegistry() {
-  factories_["fgsm"] = make_fgsm;
-  factories_["pgd"] = [](const AttackOptions& opts) {
-    return make_pgd_family("pgd", opts, /*eot=*/false);
-  };
-  factories_["eot_pgd"] = [](const AttackOptions& opts) {
-    return make_pgd_family("eot_pgd", opts, /*eot=*/true);
-  };
-  factories_["mifgsm"] = make_mifgsm;
-  factories_["square"] = make_square;
-}
+AttackRegistry::AttackRegistry()
+    : Registry("attack", "attack",
+               {{"fgsm", make_fgsm},
+                {"pgd",
+                 [](const AttackOptions& opts) {
+                   return make_pgd_family("pgd", opts, /*eot=*/false);
+                 }},
+                {"eot_pgd",
+                 [](const AttackOptions& opts) {
+                   return make_pgd_family("eot_pgd", opts, /*eot=*/true);
+                 }},
+                {"mifgsm", make_mifgsm},
+                {"square", make_square}}) {}
 
 AttackRegistry& AttackRegistry::instance() {
   static AttackRegistry registry;
   return registry;
-}
-
-void AttackRegistry::add(const std::string& key, AttackFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool AttackRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> AttackRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
-AttackPtr AttackRegistry::create(const std::string& spec) const {
-  const core::ParsedSpec parsed = core::parse_spec("attack", spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown attack '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  try {
-    return it->second(parsed.options);
-  } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
-    throw std::invalid_argument("attack spec '" + spec + "': " + e.what());
-  }
 }
 
 AttackPtr make_attack(const std::string& spec) {

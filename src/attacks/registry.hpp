@@ -1,5 +1,5 @@
-// String-keyed factory for attacks — the adversary-side twin of
-// hw::BackendRegistry.
+// String-keyed factory for attacks — the adversary-side seam, a
+// core::Registry (core/registry.hpp) like hw::BackendRegistry.
 //
 // Every harness, bench, and example selects its adversary by config string
 // instead of hand-wiring attack structs:
@@ -31,43 +31,29 @@
 //
 // Unknown keys and unknown options throw std::invalid_argument naming the
 // offending token and the full spec. Downstream code can register additional
-// attacks (registry().add) under new keys. The other two seams speak the
-// same grammar: hw::BackendRegistry (hw/registry.hpp) for substrates,
+// attacks (registry().add) under new keys. Every other seam speaks the
+// same grammar, e.g. hw::BackendRegistry (hw/registry.hpp) for substrates and
 // defenses::DefenseRegistry (defenses/registry.hpp) for defenses.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "attacks/attack.hpp"
-#include "core/spec.hpp"
+#include "core/registry.hpp"
 
 namespace rhw::attacks {
 
 // Options parsed from the spec string: option name -> raw value text (shared
 // grammar with hw::BackendOptions, see core/spec.hpp).
 using AttackOptions = core::SpecOptions;
-using AttackFactory = std::function<AttackPtr(const AttackOptions&)>;
 
-class AttackRegistry {
+class AttackRegistry : public core::Registry<AttackPtr> {
  public:
   // Process-wide registry, built-ins registered on first use.
   static AttackRegistry& instance();
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, AttackFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory. Throws
-  // std::invalid_argument on an empty spec, an unknown key, an unknown
-  // option, or a malformed value — always naming the offending token.
-  AttackPtr create(const std::string& spec) const;
-
  private:
   AttackRegistry();
-  std::map<std::string, AttackFactory> factories_;
 };
 
 // Shorthand for AttackRegistry::instance().create(spec).

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/gemm_simd.hpp"
 
@@ -39,47 +39,13 @@ EnginePtr make_simd(const EngineOptions& opts) {
 
 }  // namespace
 
-EngineRegistry::EngineRegistry() {
-  factories_["naive"] = make_naive;
-  factories_["simd"] = make_simd;
-}
+EngineRegistry::EngineRegistry()
+    : Registry("engine", "compute engine",
+               {{"naive", make_naive}, {"simd", make_simd}}) {}
 
 EngineRegistry& EngineRegistry::instance() {
   static EngineRegistry registry;
   return registry;
-}
-
-void EngineRegistry::add(const std::string& key, EngineFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool EngineRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> EngineRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
-EnginePtr EngineRegistry::create(const std::string& spec) const {
-  const ParsedSpec parsed = parse_spec("engine", spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown compute engine '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  try {
-    return it->second(parsed.options);
-  } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
-    throw std::invalid_argument("engine spec '" + spec + "': " + e.what());
-  }
 }
 
 EnginePtr make_engine(const std::string& spec) {

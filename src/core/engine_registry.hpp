@@ -1,7 +1,7 @@
 // String-keyed factory for compute engines — the fifth registry seam, after
 // hw::BackendRegistry, attacks::AttackRegistry, defenses::DefenseRegistry and
-// exp::ExperimentRegistry. Same core/spec grammar, same token-naming error
-// contract:
+// exp::ExperimentRegistry. Same core/spec grammar, and the token-naming error
+// contract of core::Registry (core/registry.hpp):
 //
 //   auto engine = core::make_engine("simd:mr=6,nr=16");
 //   core::set_active_engine("naive");   // process-wide
@@ -24,35 +24,22 @@
 // experiments swap once, up front.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
-#include "core/spec.hpp"
+#include "core/registry.hpp"
 
 namespace rhw::core {
 
 using EngineOptions = SpecOptions;
-using EngineFactory = std::function<EnginePtr(const EngineOptions&)>;
 
-class EngineRegistry {
+class EngineRegistry : public Registry<EnginePtr> {
  public:
   // Process-wide registry, built-ins registered on first use.
   static EngineRegistry& instance();
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, EngineFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory.
-  EnginePtr create(const std::string& spec) const;
-
  private:
   EngineRegistry();
-  std::map<std::string, EngineFactory> factories_;
 };
 
 // Shorthand for EngineRegistry::instance().create(spec).

@@ -1,8 +1,9 @@
 // Shared "<key>[:opt=value,opt=value,...]" spec-string parsing.
 //
-// Both registries in the repo — hw::BackendRegistry ("xbar:size=32,rmin=10e3")
-// and attacks::AttackRegistry ("pgd:steps=7,alpha=0.01") — speak the same
-// grammar and report errors the same way. This header is the single
+// Every registry in the repo — hw::BackendRegistry ("xbar:size=32,rmin=10e3"),
+// attacks::AttackRegistry ("pgd:steps=7,alpha=0.01"), the defense, engine and
+// dataset registries, and exp::ExperimentRegistry's overrides — speaks the
+// same grammar and reports errors the same way. This header is the single
 // implementation behind them: parse_spec splits the key from its options, and
 // OptionReader pulls typed option values while tracking leftovers so
 // factories can reject unknown options by name.
@@ -14,8 +15,8 @@
 //   backend option rmin: bad number 'abc'
 //   attack pgd: unknown option(s): stpes
 //
-// Registries wrap these with the full spec string at the create() call site
-// so errors surfacing far away stay actionable.
+// core::Registry (core/registry.hpp) wraps these with the full spec string
+// in create() so errors surfacing far away stay actionable.
 #pragma once
 
 #include <map>

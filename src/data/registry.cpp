@@ -3,7 +3,6 @@
 #include <cctype>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "data/corruptions.hpp"
@@ -191,57 +190,32 @@ CorruptionConfig parse_corrupt_wrapper(const std::string& wrapper) {
 
 }  // namespace
 
-DatasetRegistry::DatasetRegistry() {
-  factories_["synth-c10"] = make_synth_c10;
-  factories_["synth-c100"] = make_synth_c100;
-  factories_["tiny"] = make_tiny;
-  factories_["synth_cifar"] = make_synth_cifar_provider;
-  factories_["cifar10"] = make_cifar10;
-  factories_["mnist"] = make_mnist;
-}
+DatasetRegistry::DatasetRegistry()
+    : Registry("dataset", "dataset",
+               {{"synth-c10", make_synth_c10},
+                {"synth-c100", make_synth_c100},
+                {"tiny", make_tiny},
+                {"synth_cifar", make_synth_cifar_provider},
+                {"cifar10", make_cifar10},
+                {"mnist", make_mnist}}) {}
 
 DatasetRegistry& DatasetRegistry::instance() {
   static DatasetRegistry registry;
   return registry;
 }
 
-void DatasetRegistry::add(const std::string& key, DatasetFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool DatasetRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> DatasetRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
 DatasetPtr DatasetRegistry::create(const std::string& spec) const {
   const auto [base_spec, wrapper] = split_corrupt_spec(spec);
   const core::ParsedSpec parsed = core::parse_spec("dataset", base_spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown dataset '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  try {
-    DatasetPtr provider = it->second(parsed.options);
+  const Factory& factory = lookup(parsed.key);
+  return labelled(spec, [&] {
+    DatasetPtr provider = factory(parsed.options);
     if (!wrapper.empty()) {
       provider = std::make_unique<CorruptProvider>(
           std::move(provider), parse_corrupt_wrapper(wrapper));
     }
     return provider;
-  } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
-    throw std::invalid_argument("dataset spec '" + spec + "': " + e.what());
-  }
+  });
 }
 
 DatasetPtr make_dataset_provider(const std::string& spec) {
@@ -282,7 +256,8 @@ std::string canonical_dataset_spec(const std::string& spec) {
   const auto [base_spec, wrapper] = split_corrupt_spec(spec);
   std::string out = core::canonical_spec("dataset", base_spec);
   if (!wrapper.empty()) {
-    out += "+" + core::canonical_spec("dataset", wrapper);
+    out += '+';
+    out += core::canonical_spec("dataset", wrapper);
   }
   return out;
 }

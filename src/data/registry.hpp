@@ -44,14 +44,11 @@
 // (tools/rhw_lint.cpp), like the other five seams.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "core/spec.hpp"
+#include "core/registry.hpp"
 #include "data/synth_cifar.hpp"
 
 namespace rhw::data {
@@ -70,25 +67,19 @@ class DatasetProvider {
 
 using DatasetPtr = std::unique_ptr<DatasetProvider>;
 using DatasetOptions = core::SpecOptions;
-using DatasetFactory = std::function<DatasetPtr(const DatasetOptions&)>;
 
-class DatasetRegistry {
+class DatasetRegistry : public core::Registry<DatasetPtr> {
  public:
   // Process-wide registry, built-ins registered on first use.
   static DatasetRegistry& instance();
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, DatasetFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
   // Parses "<key>[:opt=v,...][+corrupt:...]" and invokes the factory
   // (wrapping it in the corruption provider when the spec asks for it).
+  // Errors name the full spec, wrapper included.
   DatasetPtr create(const std::string& spec) const;
 
  private:
   DatasetRegistry();
-  std::map<std::string, DatasetFactory> factories_;
 };
 
 // Shorthand for DatasetRegistry::instance().create(spec).

@@ -18,7 +18,7 @@
 // noisy-hardware classifier, declared entirely by two spec strings
 // (exp::SweepBackendDef::defense). Construction is string-keyed through
 // defenses::DefenseRegistry (defenses/registry.hpp), sharing the core/spec
-// grammar and the token-naming error contract with the other two seams.
+// grammar and the token-naming error contract with every other seam.
 //
 // Determinism contract: harden() must be a pure function of (model, ctx,
 // config) — prepare_arm re-runs it per replica (or clones the hardened

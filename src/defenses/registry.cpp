@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "defenses/adv_train.hpp"
@@ -302,51 +301,18 @@ DefensePtr make_quanos(const DefenseOptions& opts) {
 
 }  // namespace
 
-DefenseRegistry::DefenseRegistry() {
-  factories_["none"] = make_none;
-  factories_["adv_train"] = make_adv_train;
-  factories_["smooth"] = make_smooth;
-  factories_["jpeg_quant"] = make_jpeg_quant;
-  factories_["gauss_aug"] = make_gauss_aug;
-  factories_["quanos"] = make_quanos;
-}
+DefenseRegistry::DefenseRegistry()
+    : Registry("defense", "defense",
+               {{"none", make_none},
+                {"adv_train", make_adv_train},
+                {"smooth", make_smooth},
+                {"jpeg_quant", make_jpeg_quant},
+                {"gauss_aug", make_gauss_aug},
+                {"quanos", make_quanos}}) {}
 
 DefenseRegistry& DefenseRegistry::instance() {
   static DefenseRegistry registry;
   return registry;
-}
-
-void DefenseRegistry::add(const std::string& key, DefenseFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool DefenseRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> DefenseRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
-DefensePtr DefenseRegistry::create(const std::string& spec) const {
-  const core::ParsedSpec parsed = core::parse_spec("defense", spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown defense '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  try {
-    return it->second(parsed.options);
-  } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
-    throw std::invalid_argument("defense spec '" + spec + "': " + e.what());
-  }
 }
 
 DefensePtr make_defense(const std::string& spec) {

@@ -1,5 +1,5 @@
-// String-keyed factory for defenses — the third seam, the twin of
-// hw::BackendRegistry and attacks::AttackRegistry.
+// String-keyed factory for defenses — one of the six seams, a core::Registry
+// (core/registry.hpp) like hw::BackendRegistry and attacks::AttackRegistry.
 //
 // Every harness, bench, and example selects its defense by config string
 // instead of hand-wiring wrapper modules or one-off sweep binders:
@@ -8,7 +8,7 @@
 //   defense->harden(model, ctx);                 // training-time phase
 //   auto wrapped = defense->wrap(*backend);      // inference-time phase
 //
-// Spec grammar (core/spec.hpp, shared with both other registries):
+// Spec grammar (core/spec.hpp, shared with every registry):
 // "<key>" or "<key>:<opt>=<value>,...". Built-in keys and their options
 // (docs/DEFENSES.md has the full story, composition rules and which paper
 // figure each defense arm feeds):
@@ -33,17 +33,15 @@
 //                 calibration dataset (DefenseContext::calibration)
 //
 // Unknown keys and unknown options throw std::invalid_argument naming the
-// offending token and the full spec — the same error contract the other two
-// registries honor (tests/defenses/test_defense_registry.cpp asserts
+// offending token and the full spec — the error contract core::Registry
+// writes once for every spec-keyed seam (tests/defenses/test_defense_registry.cpp asserts
 // parity). Downstream code can register additional defenses
 // (registry().add) under new keys.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "core/spec.hpp"
+#include "core/registry.hpp"
 #include "defenses/defense.hpp"
 
 namespace rhw::defenses {
@@ -51,26 +49,14 @@ namespace rhw::defenses {
 // Options parsed from the spec string: option name -> raw value text (shared
 // grammar with hw::BackendOptions / attacks::AttackOptions, core/spec.hpp).
 using DefenseOptions = core::SpecOptions;
-using DefenseFactory = std::function<DefensePtr(const DefenseOptions&)>;
 
-class DefenseRegistry {
+class DefenseRegistry : public core::Registry<DefensePtr> {
  public:
   // Process-wide registry, built-ins registered on first use.
   static DefenseRegistry& instance();
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, DefenseFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory. Throws
-  // std::invalid_argument on an empty spec, an unknown key, an unknown
-  // option, or a malformed value — always naming the offending token.
-  DefensePtr create(const std::string& spec) const;
-
  private:
   DefenseRegistry();
-  std::map<std::string, DefenseFactory> factories_;
 };
 
 // Shorthand for DefenseRegistry::instance().create(spec).

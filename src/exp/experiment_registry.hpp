@@ -88,7 +88,7 @@ class ExperimentRegistry {
 
   // Resolves a preset to its spec. Throws std::invalid_argument on an
   // unknown key, naming it and listing the registered presets — the same
-  // error contract as the other three registries.
+  // error contract as the five spec-keyed registries (core/registry.hpp).
   ExperimentSpec preset(const std::string& key) const;
   std::unique_ptr<ExperimentProgram> program(const std::string& key) const;
 

@@ -1,6 +1,5 @@
 #include "hw/registry.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "core/spec.hpp"
@@ -92,48 +91,15 @@ BackendPtr make_xbar(const BackendOptions& opts) {
 
 }  // namespace
 
-BackendRegistry::BackendRegistry() {
-  factories_["ideal"] = make_ideal;
-  factories_["sram"] = make_sram;
-  factories_["xbar"] = make_xbar;
-}
+BackendRegistry::BackendRegistry()
+    : Registry("backend", "hardware backend",
+               {{"ideal", make_ideal},
+                {"sram", make_sram},
+                {"xbar", make_xbar}}) {}
 
 BackendRegistry& BackendRegistry::instance() {
   static BackendRegistry registry;
   return registry;
-}
-
-void BackendRegistry::add(const std::string& key, BackendFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool BackendRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> BackendRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
-BackendPtr BackendRegistry::create(const std::string& spec) const {
-  const core::ParsedSpec parsed = core::parse_spec("backend", spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown hardware backend '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  try {
-    return it->second(parsed.options);
-  } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
-    throw std::invalid_argument("backend spec '" + spec + "': " + e.what());
-  }
 }
 
 BackendPtr make_backend(const std::string& spec) {

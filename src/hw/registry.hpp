@@ -28,37 +28,25 @@
 // defense wrappers compose around any prepared backend (docs/DEFENSES.md).
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "core/spec.hpp"
+#include "core/registry.hpp"
 #include "hw/backend.hpp"
 
 namespace rhw::hw {
 
 // Options parsed from the spec string: option name -> raw value text. The
-// grammar and typed extraction live in core/spec.hpp, shared with
-// attacks::AttackRegistry so both seams parse and report errors identically.
+// grammar and typed extraction live in core/spec.hpp, the map and its error
+// contract in core/registry.hpp, shared by every seam.
 using BackendOptions = core::SpecOptions;
-using BackendFactory = std::function<BackendPtr(const BackendOptions&)>;
 
-class BackendRegistry {
+class BackendRegistry : public core::Registry<BackendPtr> {
  public:
   // Process-wide registry, built-ins registered on first use.
   static BackendRegistry& instance();
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, BackendFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory.
-  BackendPtr create(const std::string& spec) const;
-
  private:
   BackendRegistry();
-  std::map<std::string, BackendFactory> factories_;
 };
 
 // Shorthand for BackendRegistry::instance().create(spec).

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "data/synth_cifar.hpp"
 
@@ -83,6 +84,25 @@ TEST(DatasetRegistry, WrapperErrorsNameTheSeam) {
                std::invalid_argument);
   EXPECT_THROW(make_dataset_provider("tiny+corrupt:kind=fog,sev=6"),
                std::invalid_argument);
+}
+
+// The wrapper is split off before the base factory runs, yet an option error
+// on either side of the '+' names the full spec the caller passed.
+TEST(DatasetRegistry, WrappedOptionErrorsCarryTheFullSpec) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"tiny:sides=3+corrupt:kind=fog,sev=3", "sides"},  // bad base option
+      {"tiny+corrupt:kind=melt,sev=1", "melt"},          // bad wrapper option
+  };
+  for (const auto& [spec, token] : cases) {
+    try {
+      (void)make_dataset_provider(spec);
+      ADD_FAILURE() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("dataset spec '" + spec + "': ", 0), 0u) << what;
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(DatasetRegistry, TagsMatchTheLegacyCacheKeys) {

@@ -5,6 +5,8 @@
 #include <stdexcept>
 
 #include "attacks/evaluate.hpp"
+#include "common/state_bits.hpp"
+#include "core/thread_pool.hpp"
 #include "models/zoo.hpp"
 #include "nn/init.hpp"
 
@@ -84,7 +86,7 @@ TEST(AdvTrain, ZeroAdvFractionMatchesPlainTraining) {
 
 // The inner adversary comes through the attack registry: a PGD-driven run
 // must work and be reproducible — same seed, same initialization, identical
-// outcome bit-for-bit.
+// weights bit-for-bit, on the main thread and inside a pool worker alike.
 TEST(AdvTrain, PgdInnerAttackIsDeterministic) {
   auto data = small_data();
   auto a = fresh_model(4);
@@ -96,9 +98,16 @@ TEST(AdvTrain, PgdInnerAttackIsDeterministic) {
   cfg.batch_size = 48;
   cfg.epsilon = 0.05f;
   const auto ra = adversarial_train(*a.net, data, cfg);
-  const auto rb = adversarial_train(*b.net, data, cfg);
+  AdvTrainResult rb;
+  ThreadPool pool(1);
+  // Two chunks on a one-worker pool: chunk 1 always runs on the worker,
+  // where nested parallel_for calls run serially.
+  pool.parallel_for(2, [&](int64_t begin, int64_t) {
+    if (begin == 1) rb = adversarial_train(*b.net, data, cfg);
+  });
   EXPECT_DOUBLE_EQ(ra.clean_test_acc, rb.clean_test_acc);
   EXPECT_DOUBLE_EQ(ra.final_train_loss, rb.final_train_loss);
+  rhw::testing::expect_same_state_bits(*a.net, *b.net);
 }
 
 TEST(AdvTrain, BadInnerAttackSpecThrows) {

@@ -322,8 +322,8 @@ TEST(MergeDriver, ShardedRunsMergeToTheSingleProcessPayload) {
     spec.eval_count = 16;
     spec.batch = 16;
     spec.trials = 2;
-    spec.backends.push_back({"ideal", "ideal"});
-    spec.backends.push_back({"sram", "sram:sites=2,num_8t=2,vdd=0.6"});
+    spec.backends.push_back({"ideal", "ideal", ""});
+    spec.backends.push_back({"sram", "sram:sites=2,num_8t=2,vdd=0.6", ""});
     spec.modes.push_back({"Attack-SW", "ideal", "ideal"});
     spec.modes.push_back({"SH-sram", "ideal", "sram"});
     spec.attacks.push_back({"fgsm", {0.f, 0.1f}});

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/state_bits.hpp"
+#include "core/serialize.hpp"
+#include "core/thread_pool.hpp"
 #include "models/zoo.hpp"
 #include "nn/init.hpp"
-#include "core/serialize.hpp"
 
 namespace rhw::models {
 namespace {
@@ -53,6 +55,9 @@ TEST(Training, EvaluateAccuracyMatchesManualCount) {
   EXPECT_NEAR(batched, whole, 1e-9);
 }
 
+// Same seed, same bits: on the main thread (fanning out over the global
+// pool) and inside a ThreadPool worker (nested calls run serially), training
+// must produce identical weights, not just identical accuracy.
 TEST(Training, DeterministicGivenSeed) {
   auto data = small_data();
   TrainConfig cfg;
@@ -62,8 +67,14 @@ TEST(Training, DeterministicGivenSeed) {
   Model a = small_vgg(4);
   Model b = small_vgg(4);
   const double acc_a = train_model(a, data, cfg);
-  const double acc_b = train_model(b, data, cfg);
+  double acc_b = -1.0;
+  ThreadPool pool(1);
+  // Two chunks on a one-worker pool: chunk 1 always runs on the worker.
+  pool.parallel_for(2, [&](int64_t begin, int64_t) {
+    if (begin == 1) acc_b = train_model(b, data, cfg);
+  });
   EXPECT_DOUBLE_EQ(acc_a, acc_b);
+  rhw::testing::expect_same_state_bits(*a.net, *b.net);
 }
 
 TEST(Zoo, CacheRoundTrip) {
