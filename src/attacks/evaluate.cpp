@@ -32,6 +32,7 @@ AttackPtr build_attack(const AdvEvalConfig& cfg) {
 
 int64_t count_correct(nn::Module& net, const Tensor& x,
                       const std::vector<int64_t>& labels) {
+  const nn::Module::InferenceScope inference;  // no backward follows
   const Tensor logits = net.forward(x);
   const auto preds = logits.argmax_rows();
   int64_t correct = 0;

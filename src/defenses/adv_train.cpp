@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "attacks/registry.hpp"
+#include "models/zoo.hpp"
 #include "nn/loss.hpp"
 
 namespace rhw::defenses {
@@ -74,20 +75,10 @@ AdvTrainResult adversarial_train(nn::Module& net, const data::SynthCifar& data,
     result.final_train_loss = epoch_loss / std::max<int64_t>(1, batches);
   }
 
-  // Clean test accuracy.
+  // Clean test accuracy; the model is left in eval mode.
   net.set_training(false);
-  int64_t correct = 0;
-  for (int64_t begin = 0; begin < data.test.size(); begin += cfg.batch_size) {
-    const auto batch = data.test.slice(begin, begin + cfg.batch_size);
-    const auto preds = net.forward(batch.images).argmax_rows();
-    for (size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i] == batch.labels[i]) ++correct;
-    }
-  }
   result.clean_test_acc =
-      data.test.size() > 0
-          ? static_cast<double>(correct) / static_cast<double>(data.test.size())
-          : 0.0;
+      models::evaluate_accuracy(net, data.test, cfg.batch_size);
   return result;
 }
 

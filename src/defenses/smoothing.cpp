@@ -65,10 +65,15 @@ Tensor SmoothedModule::votes_impl(const Tensor& x, int samples,
   // With an input-shaped tail requested (do_forward), the final copy runs as
   // its own pass: the inner cache it leaves behind IS the straight-through
   // state for do_backward — no replay forward, and the cached activations
-  // belong to a copy that was actually counted in the vote.
+  // belong to a copy that was actually counted in the vote. No backward reads
+  // the bulk copies, so they keep no backward state; the tail runs in the
+  // caller's mode.
   const int bulk = input_shaped_tail ? samples - 1 : samples;
-  for (int s0 = 0; s0 < bulk; s0 += copies_per_pass) {
-    run_chunk(std::min(copies_per_pass, bulk - s0));
+  {
+    const nn::Module::InferenceScope inference;
+    for (int s0 = 0; s0 < bulk; s0 += copies_per_pass) {
+      run_chunk(std::min(copies_per_pass, bulk - s0));
+    }
   }
   if (input_shaped_tail) run_chunk(1);
   return counts;

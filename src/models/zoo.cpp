@@ -52,6 +52,7 @@ double evaluate_accuracy(nn::Module& net, const data::Dataset& ds,
                          int64_t batch_size) {
   const bool was_training = net.training();
   net.set_training(false);
+  const nn::Module::InferenceScope inference;  // no backward follows
   int64_t correct = 0;
   for (int64_t begin = 0; begin < ds.size(); begin += batch_size) {
     const auto batch = ds.slice(begin, begin + batch_size);

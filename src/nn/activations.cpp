@@ -3,14 +3,15 @@
 namespace rhw::nn {
 
 Tensor ReLU::do_forward(const Tensor& x) {
-  mask_ = Tensor(x.shape());
+  // No mask in an InferenceScope (and none left from an earlier forward).
+  mask_ = inference_mode() ? Tensor() : Tensor(x.shape());
   Tensor out(x.shape());
   const float* in = x.data();
-  float* m = mask_.data();
+  float* m = mask_.empty() ? nullptr : mask_.data();
   float* o = out.data();
   for (int64_t i = 0; i < x.numel(); ++i) {
     const bool pos = in[i] > 0.f;
-    m[i] = pos ? 1.f : 0.f;
+    if (m != nullptr) m[i] = pos ? 1.f : 0.f;
     o[i] = pos ? in[i] : 0.f;
   }
   return out;

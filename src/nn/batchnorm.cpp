@@ -65,21 +65,25 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
     }
   }
 
-  x_hat_ = Tensor(x.shape());
-  inv_std_ = Tensor({c});
+  // In an InferenceScope the caches are released, not written; the output
+  // goes through the same float operations either way.
+  const bool keep = !inference_mode();
+  x_hat_ = keep ? Tensor(x.shape()) : Tensor();
+  inv_std_ = keep ? Tensor({c}) : Tensor();
   Tensor out(x.shape());
   for (int64_t ci = 0; ci < c; ++ci) {
     const float mu = mean[static_cast<size_t>(ci)];
     const float is = 1.f / std::sqrt(var[static_cast<size_t>(ci)] + eps_);
-    inv_std_[ci] = is;
+    if (keep) inv_std_[ci] = is;
     const float g = gamma_.value[ci], b = beta_.value[ci];
     for (int64_t ni = 0; ni < n; ++ni) {
       const float* p = x.data() + (ni * c + ci) * plane;
-      float* xh = x_hat_.data() + (ni * c + ci) * plane;
+      float* xh_out = keep ? x_hat_.data() + (ni * c + ci) * plane : nullptr;
       float* o = out.data() + (ni * c + ci) * plane;
       for (int64_t i = 0; i < plane; ++i) {
-        xh[i] = (p[i] - mu) * is;
-        o[i] = g * xh[i] + b;
+        const float xh = (p[i] - mu) * is;
+        if (xh_out != nullptr) xh_out[i] = xh;
+        o[i] = g * xh + b;
       }
     }
   }

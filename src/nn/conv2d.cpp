@@ -38,7 +38,9 @@ Tensor Conv2d::do_forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_c_) {
     throw std::invalid_argument("Conv2d: bad input shape " + x.shape_str());
   }
-  input_ = x;
+  // In an InferenceScope no backward follows: drop the input copy, and with
+  // it whatever an earlier forward left behind.
+  input_ = inference_mode() ? Tensor() : x;
   geom_ = ConvGeom{in_c_, x.dim(2), x.dim(3), kernel_, kernel_, stride_, pad_};
   const int64_t n = x.dim(0);
 

@@ -37,7 +37,7 @@ class Conv2d final : public Module {
   Param weight_;
   Param bias_;
 
-  // forward caches
+  // forward caches (input_ is empty after a forward in an InferenceScope)
   Tensor input_;     // [N, C, H, W]
   ConvGeom geom_;
 };

@@ -24,7 +24,7 @@ Tensor Linear::do_forward(const Tensor& x) {
   if (x.rank() != 2 || x.dim(1) != in_f_) {
     throw std::invalid_argument("Linear: bad input shape " + x.shape_str());
   }
-  input_ = x;
+  input_ = inference_mode() ? Tensor() : x;  // no copy in an InferenceScope
   const int64_t n = x.dim(0);
   Tensor out({n, out_f_});
   // out = x [n, in] * W^T [in, out], bias folded through the engine's beta

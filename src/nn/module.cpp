@@ -1,5 +1,7 @@
 #include "nn/module.hpp"
 
+#include <stdexcept>
+
 #include "core/rng.hpp"
 
 namespace rhw::nn {
@@ -12,15 +14,25 @@ namespace {
 // chunks and never consult this flag — so per-thread gating is exactly the
 // per-cell gating the scheduler needs.
 thread_local bool g_hooks_enabled = true;
+// Thread-local for the same reason: each sweep lane or serving lane decides
+// for the forwards it drives itself.
+thread_local bool g_inference_mode = false;
 }  // namespace
 
 Tensor Module::forward(const Tensor& x) {
+  kept_backward_state_ = !g_inference_mode;
   Tensor y = do_forward(x);
   if (post_hook_ && (!post_hook_gated_ || hooks_enabled())) post_hook_(y);
   return y;
 }
 
 Tensor Module::backward(const Tensor& grad_out) {
+  if (!kept_backward_state_) {
+    throw std::logic_error(type_name() +
+                           "::backward: last forward ran in "
+                           "nn::Module::InferenceScope and kept no backward "
+                           "state");
+  }
   if (backward_hook_ && (!backward_hook_gated_ || hooks_enabled())) {
     Tensor grad = grad_out;
     backward_hook_(grad);
@@ -44,6 +56,14 @@ Module::HooksDisabledScope::HooksDisabledScope() : previous_(g_hooks_enabled) {
 Module::HooksDisabledScope::~HooksDisabledScope() {
   g_hooks_enabled = previous_;
 }
+
+bool Module::inference_mode() { return g_inference_mode; }
+
+Module::InferenceScope::InferenceScope() : previous_(g_inference_mode) {
+  g_inference_mode = true;
+}
+
+Module::InferenceScope::~InferenceScope() { g_inference_mode = previous_; }
 
 namespace {
 void collect_weight_layers_impl(Module& m, std::vector<Module*>& out) {

@@ -3,7 +3,11 @@
 // Modules cache whatever forward state their backward pass needs, so the usage
 // contract is: forward(batch) immediately followed by backward(grad) on the
 // same batch. backward() returns the gradient w.r.t. the module input and
-// accumulates parameter gradients into Param::grad.
+// accumulates parameter gradients into Param::grad. The exception is a
+// forward inside an InferenceScope (votes, certification, clean evaluation,
+// serving): it computes the same output bit for bit but keeps no backward
+// state, and backward() then throws std::logic_error until the module's next
+// forward outside the scope.
 //
 // Post-forward hooks model hardware noise on stored activations (hybrid 8T-6T
 // SRAM activation memories, DESIGN.md). Hooks mutate the forward output in
@@ -57,7 +61,8 @@ class Module {
   // Non-virtual interface: runs do_forward then applies the post hook (when
   // hooks are globally enabled); backward applies the backward hook to the
   // incoming gradient first (used to model noisy analog gradient reads in
-  // HH-mode attacks — crossbar mapper installs these ungated).
+  // HH-mode attacks — crossbar mapper installs these ungated). backward
+  // throws std::logic_error when the last forward ran in an InferenceScope.
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& grad_out);
 
@@ -126,6 +131,25 @@ class Module {
     bool previous_;
   };
 
+  // -- inference mode (thread-local) ------------------------------------------
+  // True inside an InferenceScope on this thread. Layers read it in
+  // do_forward: they compute the same output with the same float operations,
+  // but release their backward caches instead of writing them.
+  static bool inference_mode();
+  // RAII: forwards in scope keep no backward state. Entered where no backward
+  // follows a forward (smoothing votes, clean evaluation, serving), so a
+  // replica holds no activation copies between forwards.
+  class InferenceScope {
+   public:
+    InferenceScope();
+    ~InferenceScope();
+    InferenceScope(const InferenceScope&) = delete;
+    InferenceScope& operator=(const InferenceScope&) = delete;
+
+   private:
+    bool previous_;
+  };
+
   int64_t num_parameters();
 
  protected:
@@ -139,6 +163,8 @@ class Module {
   ActivationHook backward_hook_;
   bool backward_hook_gated_ = true;
   HookSeeder backward_seeder_;
+  // False when the last forward ran in an InferenceScope (backward throws).
+  bool kept_backward_state_ = true;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

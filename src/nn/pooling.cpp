@@ -15,7 +15,13 @@ Tensor MaxPool2d::do_forward(const Tensor& x) {
   const int64_t oh = (h - kernel_) / stride_ + 1;
   const int64_t ow = (w - kernel_) / stride_ + 1;
   Tensor out({n, c, oh, ow});
-  argmax_.assign(static_cast<size_t>(out.numel()), 0);
+  // In an InferenceScope the indices are released, not written.
+  const bool keep = !inference_mode();
+  if (keep) {
+    argmax_.assign(static_cast<size_t>(out.numel()), 0);
+  } else {
+    std::vector<int64_t>().swap(argmax_);
+  }
 
   const float* in = x.data();
   float* o = out.data();
@@ -39,7 +45,7 @@ Tensor MaxPool2d::do_forward(const Tensor& x) {
             }
           }
           o[oi] = best;
-          argmax_[static_cast<size_t>(oi)] = best_idx;
+          if (keep) argmax_[static_cast<size_t>(oi)] = best_idx;
         }
       }
     }

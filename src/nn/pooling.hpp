@@ -20,7 +20,9 @@ class MaxPool2d final : public Module {
  private:
   int64_t kernel_, stride_;
   Shape input_shape_;
-  std::vector<int64_t> argmax_;  // flat input index per output element
+  // Flat input index per output element; empty after a forward in an
+  // InferenceScope.
+  std::vector<int64_t> argmax_;
 };
 
 class AvgPool2d final : public Module {

@@ -60,13 +60,14 @@ Tensor ResidualBlock::do_forward(const Tensor& x) {
   }
 
   main.add_(shortcut);
-  // Final ReLU, inlined so we keep its mask for backward.
-  final_mask_ = Tensor(main.shape());
-  float* m = final_mask_.data();
+  // Final ReLU, inlined so we keep its mask for backward (none in an
+  // InferenceScope, where the children release their caches too).
+  final_mask_ = inference_mode() ? Tensor() : Tensor(main.shape());
+  float* m = final_mask_.empty() ? nullptr : final_mask_.data();
   float* v = main.data();
   for (int64_t i = 0; i < main.numel(); ++i) {
     const bool pos = v[i] > 0.f;
-    m[i] = pos ? 1.f : 0.f;
+    if (m != nullptr) m[i] = pos ? 1.f : 0.f;
     if (!pos) v[i] = 0.f;
   }
   return main;

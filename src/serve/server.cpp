@@ -146,6 +146,8 @@ void Server::execute(size_t lane_index, std::vector<PendingRequest> batch) {
     }
   };
 
+  // Serving never runs a backward: the replica keeps no activation caches.
+  const nn::Module::InferenceScope inference;
   if (stochastic_) {
     // Live noise streams: pin each request to its derived seed and run it
     // alone, so the result depends only on (serve seed, request id) — never

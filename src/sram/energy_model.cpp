@@ -52,7 +52,10 @@ MemoryEnergyReport activation_memory_report(
   }
   const bool was_training = model.net->training();
   model.net->set_training(false);
-  (void)model.net->forward(sample_input);
+  {
+    const nn::Module::InferenceScope inference;  // a probe: no backward
+    (void)model.net->forward(sample_input);
+  }
   model.net->set_training(was_training);
   for (auto& site : model.sites) site.module->clear_post_hook();
 

@@ -69,6 +69,7 @@ TEST(DatasetRegistry, OptionErrorsCarryTheFullSpec) {
 
 TEST(DatasetRegistry, WrapperErrorsNameTheSeam) {
   try {
+    // rhw-lint: allow(spec) — unknown wrapper, stale on purpose
     (void)make_dataset_provider("tiny+noise:kind=fog");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
@@ -76,12 +77,16 @@ TEST(DatasetRegistry, WrapperErrorsNameTheSeam) {
               std::string::npos)
         << e.what();
   }
+  // rhw-lint: allow(spec) — missing kind, stale on purpose
   EXPECT_THROW(make_dataset_provider("tiny+corrupt:sev=2"),
-               std::invalid_argument);  // missing kind
+               std::invalid_argument);
+  // rhw-lint: allow(spec) — negative-path probe, stale on purpose
   EXPECT_THROW(make_dataset_provider("tiny+corrupt:kind=melt,sev=1"),
                std::invalid_argument);
+  // rhw-lint: allow(spec) — severity below range, stale on purpose
   EXPECT_THROW(make_dataset_provider("tiny+corrupt:kind=fog,sev=0"),
                std::invalid_argument);
+  // rhw-lint: allow(spec) — severity above range, stale on purpose
   EXPECT_THROW(make_dataset_provider("tiny+corrupt:kind=fog,sev=6"),
                std::invalid_argument);
 }
@@ -90,8 +95,10 @@ TEST(DatasetRegistry, WrapperErrorsNameTheSeam) {
 // on either side of the '+' names the full spec the caller passed.
 TEST(DatasetRegistry, WrappedOptionErrorsCarryTheFullSpec) {
   const std::pair<std::string, std::string> cases[] = {
-      {"tiny:sides=3+corrupt:kind=fog,sev=3", "sides"},  // bad base option
-      {"tiny+corrupt:kind=melt,sev=1", "melt"},          // bad wrapper option
+      // rhw-lint: allow(spec) — bad base option, stale on purpose
+      {"tiny:sides=3+corrupt:kind=fog,sev=3", "sides"},
+      // rhw-lint: allow(spec) — bad wrapper option, stale on purpose
+      {"tiny+corrupt:kind=melt,sev=1", "melt"},
   };
   for (const auto& [spec, token] : cases) {
     try {

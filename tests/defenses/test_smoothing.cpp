@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "attacks/evaluate.hpp"
+#include "core/rng.hpp"
 #include "data/synth_cifar.hpp"
+#include "defenses/input_transforms.hpp"
 #include "defenses/registry.hpp"
 #include "hw/registry.hpp"
 #include "models/zoo.hpp"
+#include "nn/init.hpp"
 
 namespace rhw::defenses {
 namespace {
@@ -132,18 +135,64 @@ TEST_F(SmoothingTest, WrappingUnpreparedBackendThrows) {
   }
 }
 
-// Straight-through gradients: backward through the wrapper must return a
-// gradient of the input's shape (the last noisy sample's cached state).
+// Straight-through gradients: the bulk copies run in an InferenceScope, the
+// tail copy does not, so backward returns exactly the inner model's input
+// gradient at the tail's noisy copy, the last draw of the smoothing stream.
 TEST_F(SmoothingTest, BackwardIsStraightThrough) {
+  models::Model model = models::build_model("vgg8", 4, 0.125f, 16);
+  RandomEngine init(3);
+  nn::kaiming_init(*model.net, init);
+  model.net->set_training(false);
   SmoothConfig cfg;
   cfg.sigma = 0.1f;
-  cfg.samples = 2;
-  SmoothedModule smoothed(*model_->net, cfg);
+  cfg.samples = 3;
+  SmoothedModule smoothed(*model.net, cfg);
   const auto batch = data_->test.slice(0, 2);
+  constexpr uint64_t kSeed = 0x7A11;
+  nn::reseed_noise_streams(smoothed, kSeed);
   const Tensor logits = smoothed.forward(batch.images);
-  Tensor grad_out(logits.shape(), 1.f);
+  const Tensor grad_out(logits.shape(), 1.f);
   const Tensor grad_in = smoothed.backward(grad_out);
-  EXPECT_TRUE(grad_in.same_shape(batch.images));
+
+  // Replay the stream: the wrapper is the tree root (depth-first index 0),
+  // its seeder the post-hook sub-stream 0; the bulk copies draw first.
+  RandomEngine rng(derive_stream_seed(derive_stream_seed(kSeed, 0), 0));
+  Shape bulk_shape = batch.images.shape();
+  bulk_shape[0] *= cfg.samples - 1;
+  Tensor bulk(bulk_shape);
+  add_gaussian_noise(bulk, cfg.sigma, cfg.clip_lo, cfg.clip_hi, rng);
+  Tensor tail = batch.images;
+  add_gaussian_noise(tail, cfg.sigma, cfg.clip_lo, cfg.clip_hi, rng);
+  (void)model.net->forward(tail);
+  const Tensor expected = model.net->backward(grad_out);
+
+  ASSERT_TRUE(grad_in.same_shape(expected));
+  EXPECT_GT(grad_in.l2_norm(), 0.0);
+  for (int64_t i = 0; i < grad_in.numel(); ++i) {
+    ASSERT_EQ(grad_in[i], expected[i]) << i;
+  }
+}
+
+// votes() runs every copy in an InferenceScope: the inner model keeps no
+// backward state, so a stray backward fails by name instead of reading a
+// stale cache.
+TEST_F(SmoothingTest, VotesKeepNoBackwardState) {
+  models::Model model = models::build_model("vgg8", 4, 0.125f, 16);
+  model.net->set_training(false);
+  SmoothConfig cfg;
+  cfg.sigma = 0.1f;
+  cfg.samples = 3;
+  SmoothedModule smoothed(*model.net, cfg);
+  const auto batch = data_->test.slice(0, 2);
+  const Tensor logits = model.net->forward(batch.images);  // leaves caches
+  (void)smoothed.votes(batch.images);
+  try {
+    (void)model.net->backward(Tensor(logits.shape(), 1.f));
+    ADD_FAILURE() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("InferenceScope"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -472,8 +472,10 @@ TEST(ExperimentSections, ParseAndReject) {
   EXPECT_EQ(foggy.zoo_tag, "tiny-c4");
   EXPECT_EQ(foggy.canonical,
             "tiny:classes=4,size=16,test=10,train=8+corrupt:kind=fog,sev=3");
+  // rhw-lint: allow(spec) — unknown corruption kind, stale on purpose
   EXPECT_THROW(parse_dataset_section("tiny+corrupt:kind=melt,sev=1"),
                std::invalid_argument);
+  // rhw-lint: allow(spec) — severity above range, stale on purpose
   EXPECT_THROW(parse_dataset_section("tiny+corrupt:kind=fog,sev=6"),
                std::invalid_argument);
 

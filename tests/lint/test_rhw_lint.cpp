@@ -102,14 +102,18 @@ TEST(RhwLint, StaleSpecFixtureFlagsExactlyTheStaleLiterals) {
       {"spec", 4},  // pgd:stps=7
       {"spec", 5},  // xbar:rmn=1e5
       {"spec", 6},  // smooth:sigma=abc
+      {"spec", 8},  // tiny+corrupt:kind=melt,sev=1
+      {"spec", 9},  // sram:vdd=0.6+smooth:sigmaa=0.25
   };
   EXPECT_EQ(rule_lines(diags), expected);
-  // 4 literals name registered keys (1 valid + 3 stale); the unknown-key
+  // 8 literals name registered keys (3 valid + 5 stale); the unknown-key
   // literal is skipped entirely.
-  EXPECT_EQ(stats.spec_literals, 4u);
+  EXPECT_EQ(stats.spec_literals, 8u);
   EXPECT_NE(diags[0].what.find("stps"), std::string::npos) << diags[0].what;
   EXPECT_NE(diags[1].what.find("rmn"), std::string::npos) << diags[1].what;
   EXPECT_NE(diags[2].what.find("abc"), std::string::npos) << diags[2].what;
+  EXPECT_NE(diags[3].what.find("melt"), std::string::npos) << diags[3].what;
+  EXPECT_NE(diags[4].what.find("sigmaa"), std::string::npos) << diags[4].what;
 }
 
 TEST(RhwLint, AllowCommentsSuppressSameLineAndLineAbove) {
@@ -153,6 +157,18 @@ TEST(RhwLint, SpecVerdicts) {
   EXPECT_EQ(rhw::check::check_spec_span("just a sentence", &error),
             SpecVerdict::kNotASpec);
   EXPECT_EQ(rhw::check::check_spec_span("unknown_key:opt=1", &error),
+            SpecVerdict::kNotASpec);
+  // Wrapped specs split by the registries' '+' rule.
+  EXPECT_EQ(rhw::check::check_spec_span("tiny+corrupt:kind=fog,sev=3", &error),
+            SpecVerdict::kOk);
+  EXPECT_EQ(rhw::check::check_spec_span("sram:vdd=0.6+jpeg_quant", &error),
+            SpecVerdict::kOk);
+  // rhw-lint: allow(spec) — negative-path probe, stale on purpose
+  EXPECT_EQ(rhw::check::check_spec_span("ideal+no_such_defense", &error),
+            SpecVerdict::kStale);
+  EXPECT_NE(error.find("no_such_defense"), std::string::npos) << error;
+  // Only datasets and backends take a wrapper.
+  EXPECT_EQ(rhw::check::check_spec_span("fgsm+smooth", &error),
             SpecVerdict::kNotASpec);
 }
 

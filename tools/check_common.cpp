@@ -30,7 +30,12 @@ std::string read_file(const fs::path& path) {
 bool looks_like_spec(const std::string& span) {
   static const std::regex spec_re(
       R"(^([a-z_][a-z0-9_-]*)(:[A-Za-z0-9_]+=[A-Za-z0-9_.+\-/]+(,[A-Za-z0-9_]+=[A-Za-z0-9_.+\-/]+)*)?$)");
-  return std::regex_match(span, spec_re);
+  // The registries' own wrapper rule (data::split_corrupt_spec, the arm split
+  // in exp/experiment.cpp): a '+' before a lowercase letter or '_' starts a
+  // wrapper, so "1e+5" stays one value.
+  const auto [base, wrapper] = rhw::data::split_corrupt_spec(span);
+  return std::regex_match(base, spec_re) &&
+         (wrapper.empty() || std::regex_match(wrapper, spec_re));
 }
 
 SpecVerdict check_spec_span(const std::string& span, std::string* error) {
@@ -44,12 +49,18 @@ SpecVerdict check_spec_span(const std::string& span, std::string* error) {
     return it->second.first;
   }
 
-  const std::string key = span.substr(0, span.find(':'));
+  // Only two bases take a wrapper: a dataset ("<base>+corrupt:...") and a
+  // backend arm ("<hw>+<defense>").
+  const auto [base, wrapper] = rhw::data::split_corrupt_spec(span);
+  const bool wrapped = !wrapper.empty();
+  const std::string key = base.substr(0, base.find(':'));
   const bool is_backend = rhw::hw::BackendRegistry::instance().contains(key);
-  const bool is_attack = rhw::attacks::AttackRegistry::instance().contains(key);
+  const bool is_attack =
+      !wrapped && rhw::attacks::AttackRegistry::instance().contains(key);
   const bool is_defense =
-      rhw::defenses::DefenseRegistry::instance().contains(key);
-  const bool is_engine = rhw::core::EngineRegistry::instance().contains(key);
+      !wrapped && rhw::defenses::DefenseRegistry::instance().contains(key);
+  const bool is_engine =
+      !wrapped && rhw::core::EngineRegistry::instance().contains(key);
   const bool is_dataset = rhw::data::DatasetRegistry::instance().contains(key);
   // Experiment presets take no colon options; only bare keys match.
   const bool is_experiment =
@@ -61,7 +72,8 @@ SpecVerdict check_spec_span(const std::string& span, std::string* error) {
       is_experiment) {
     try {
       if (is_backend) {
-        (void)rhw::hw::make_backend(span);
+        (void)rhw::hw::make_backend(base);
+        if (wrapped) (void)rhw::defenses::make_defense(wrapper);
       } else if (is_attack) {
         (void)rhw::attacks::make_attack(span);
       } else if (is_defense) {
@@ -70,6 +82,7 @@ SpecVerdict check_spec_span(const std::string& span, std::string* error) {
         (void)rhw::core::make_engine(span);
       } else if (is_dataset) {
         // Construction is filesystem-free: dir= paths validate without I/O.
+        // The registry splits and checks a wrapper itself.
         (void)rhw::data::make_dataset_provider(span);
       } else {
         rhw::exp::ExperimentRegistry::instance().preset(span).validate();

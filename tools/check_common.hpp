@@ -31,8 +31,10 @@ std::string read_file(const std::filesystem::path& path);
 // -- spec validation ----------------------------------------------------------
 
 // Strict spec shape: `key` or `key:opt=v(,opt=v)*`, lowercase key, no spaces,
-// ellipses or placeholders. Spans that don't match are "just words" and are
-// never validated (docs keep exact, parseable examples so checks have teeth).
+// ellipses or placeholders, optionally followed by one `+wrapper` of the same
+// shape (a corrupted dataset or a `hw+defense` arm). Spans that don't match are
+// "just words" and are never validated (docs keep exact, parseable examples so
+// checks have teeth).
 bool looks_like_spec(const std::string& span);
 
 enum class SpecVerdict {
@@ -43,10 +45,11 @@ enum class SpecVerdict {
 
 // Classifies `span` against the six registries (backend, attack, defense,
 // engine, dataset; experiment presets match bare keys only) and validates it
-// through
-// the matching factory. On kStale, *error (if non-null) carries the factory
-// message. Verdicts are memoized per span: the registries are immutable once
-// loaded, and hot keys like "ideal" appear hundreds of times.
+// through the matching factory; a wrapped span validates as a whole dataset
+// spec, or as a backend spec plus a defense spec. On kStale, *error (if
+// non-null) carries the factory message. Verdicts are memoized per span: the
+// registries are immutable once loaded, and hot keys like "ideal" appear
+// hundreds of times.
 SpecVerdict check_spec_span(const std::string& span, std::string* error);
 
 // -- registry <-> doc parity --------------------------------------------------
