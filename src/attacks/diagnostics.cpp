@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "attacks/evaluate.hpp"
 #include "attacks/fgsm.hpp"
 
 namespace rhw::attacks {
@@ -25,16 +26,6 @@ double cosine(const Tensor& a, const Tensor& b) {
   }
   const double denom = std::sqrt(na) * std::sqrt(nb);
   return denom > 0 ? dot / denom : 0.0;
-}
-
-int64_t count_correct(nn::Module& net, const Tensor& x,
-                      const std::vector<int64_t>& labels) {
-  const auto preds = net.forward(x).argmax_rows();
-  int64_t correct = 0;
-  for (size_t i = 0; i < preds.size(); ++i) {
-    if (preds[i] == labels[i]) ++correct;
-  }
-  return correct;
 }
 
 }  // namespace

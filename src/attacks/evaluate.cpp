@@ -30,6 +30,8 @@ AttackPtr build_attack(const AdvEvalConfig& cfg) {
   return attack;
 }
 
+}  // namespace
+
 int64_t count_correct(nn::Module& net, const Tensor& x,
                       const std::vector<int64_t>& labels) {
   const nn::Module::InferenceScope inference;  // no backward follows
@@ -41,8 +43,6 @@ int64_t count_correct(nn::Module& net, const Tensor& x,
   }
   return correct;
 }
-
-}  // namespace
 
 AdvEvalResult evaluate_attack(nn::Module& grad_net, nn::Module& eval_net,
                               const data::Dataset& ds,

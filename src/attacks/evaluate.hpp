@@ -16,7 +16,9 @@
 // hw::BackendRegistry spec on the other side of the experiment.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "attacks/registry.hpp"
 #include "data/dataset.hpp"
@@ -94,6 +96,11 @@ double adversarial_accuracy(nn::Module& grad_net, nn::Module& eval_net,
 double clean_accuracy(nn::Module& eval_net, const data::Dataset& ds,
                       int64_t batch_size = 100,
                       uint64_t seed = kDefaultEvalSeed);
+
+// Rows of x whose argmax prediction under net matches labels. One forward
+// inside nn::Module::InferenceScope: net keeps no backward state afterwards.
+int64_t count_correct(nn::Module& net, const Tensor& x,
+                      const std::vector<int64_t>& labels);
 
 // -- hardware-backend seam ----------------------------------------------------
 // The paper's attack modes are a choice of (grad backend, eval backend):

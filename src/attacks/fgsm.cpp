@@ -4,8 +4,11 @@ namespace rhw::attacks {
 
 namespace {
 
+// The one place attack gradients run: forward and backward keep and compute
+// only what dx needs, so parameter gradients stay untouched.
 Tensor backprop_to_input(nn::Module& net, const Tensor& x,
                          const std::vector<int64_t>& labels) {
+  const nn::Module::InputGradientScope input_gradient_only;
   const Tensor logits = net.forward(x);
   nn::SoftmaxCrossEntropy loss;
   loss.forward(logits, labels);

@@ -14,9 +14,10 @@ namespace rhw::attacks {
 
 using nn::Tensor;
 
-// d(mean CE loss)/d(input). Side effect: accumulates into the net's parameter
-// gradients — callers that later train must zero_grad first (SGD::zero_grad
-// does). Restores the net's training flag.
+// d(mean CE loss)/d(input), computed inside nn::Module::InputGradientScope:
+// the net's parameter gradients are left untouched, and the net keeps no
+// parameter-gradient state, so a backward() right after it throws (run a
+// fresh forward to train). Restores the net's training flag.
 //
 // with_noise=false (default) computes the gradient under HooksDisabledScope —
 // the paper's rule that bit-error noise is absent during gradient computation

@@ -13,6 +13,7 @@ namespace {
 // Negative margin = misclassified = the attack has succeeded on that row.
 std::vector<float> query_margins(nn::Module& net, const Tensor& x,
                                  const std::vector<int64_t>& labels) {
+  const nn::Module::InferenceScope inference;  // a query: no backward
   const Tensor logits = net.forward(x);
   const int64_t n = logits.dim(0);
   const int64_t k = logits.dim(1);

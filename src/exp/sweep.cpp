@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -155,8 +157,18 @@ unsigned sweep_threads_env(unsigned fallback) {
   // rhw-lint: allow(env) — lane count only; payloads are lane-invariant
   const char* env = std::getenv("RHW_SWEEP_THREADS");
   if (env == nullptr || *env == '\0') return fallback;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<unsigned>(v) : fallback;
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*env)) == 0 || *end != '\0' ||
+      errno == ERANGE || v < 1 ||
+      v > static_cast<long>(kMaxSweepThreads)) {
+    throw std::invalid_argument(
+        "RHW_SWEEP_THREADS='" + std::string(env) +
+        "': expected a whole lane count in [1, " +
+        std::to_string(kMaxSweepThreads) + "]");
+  }
+  return static_cast<unsigned>(v);
 }
 
 SweepResult SweepEngine::run(const SweepGrid& grid) {
@@ -474,9 +486,11 @@ SweepResult SweepEngine::run(const SweepGrid& grid) {
     // Own pool: cells run on its workers (whose nested parallel_for calls
     // fall back to serial — the parallelism budget moves to the cell level),
     // while the caller lane keeps the global pool for its own cells.
-    ThreadPool cell_pool(lanes_ - 1);
+    // Sized to the lanes that get a task: the caller plus n_lanes - 1
+    // workers.
     const auto n_lanes =
         std::min<int64_t>(static_cast<int64_t>(tasks.size()), lanes_);
+    ThreadPool cell_pool(static_cast<unsigned>(n_lanes - 1));
     cell_pool.parallel_for(n_lanes, pump);
   }
   if (first_error) std::rethrow_exception(first_error);

@@ -329,7 +329,10 @@ class SweepEngine {
 };
 
 // Lane count used by the benches: $RHW_SWEEP_THREADS, or `fallback`
-// (0 = one lane per hardware thread).
+// (0 = one lane per hardware thread) when it is unset or empty. Throws
+// std::invalid_argument unless the variable is a whole number in
+// [1, kMaxSweepThreads] with nothing after it.
+inline constexpr unsigned kMaxSweepThreads = 1024;
 unsigned sweep_threads_env(unsigned fallback = 0);
 
 }  // namespace rhw::exp

@@ -65,10 +65,14 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
     }
   }
 
-  // In an InferenceScope the caches are released, not written; the output
-  // goes through the same float operations either way.
-  const bool keep = !inference_mode();
-  x_hat_ = keep ? Tensor(x.shape()) : Tensor();
+  // Caches are released, not written, where no backward reads them: x_hat
+  // feeds dgamma and the train-mode dx, inv_std every dx. The output goes
+  // through the same float operations either way.
+  const BackwardNeeds needs = backward_needs();
+  const bool keep = needs != BackwardNeeds::kNone;
+  const bool keep_xhat =
+      needs == BackwardNeeds::kAll || (keep && training_);
+  x_hat_ = keep_xhat ? Tensor(x.shape()) : Tensor();
   inv_std_ = keep ? Tensor({c}) : Tensor();
   Tensor out(x.shape());
   for (int64_t ci = 0; ci < c; ++ci) {
@@ -78,7 +82,8 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
     const float g = gamma_.value[ci], b = beta_.value[ci];
     for (int64_t ni = 0; ni < n; ++ni) {
       const float* p = x.data() + (ni * c + ci) * plane;
-      float* xh_out = keep ? x_hat_.data() + (ni * c + ci) * plane : nullptr;
+      float* xh_out =
+          keep_xhat ? x_hat_.data() + (ni * c + ci) * plane : nullptr;
       float* o = out.data() + (ni * c + ci) * plane;
       for (int64_t i = 0; i < plane; ++i) {
         const float xh = (p[i] - mu) * is;
@@ -95,21 +100,27 @@ Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
                 w = grad_out.dim(3);
   const int64_t plane = h * w;
   const auto m = static_cast<float>(n * plane);
+  const bool param_grads = kept_param_grads();
   Tensor grad_in(grad_out.shape());
 
   for (int64_t ci = 0; ci < c; ++ci) {
-    // Reductions over the channel: sum(dy), sum(dy * x_hat)
+    // Reductions over the channel: sum(dy), sum(dy * x_hat). Only dgamma,
+    // dbeta and the train-mode dx read them.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t ni = 0; ni < n; ++ni) {
-      const float* dy = grad_out.data() + (ni * c + ci) * plane;
-      const float* xh = x_hat_.data() + (ni * c + ci) * plane;
-      for (int64_t i = 0; i < plane; ++i) {
-        sum_dy += dy[i];
-        sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
+    if (param_grads || forward_was_training_) {
+      for (int64_t ni = 0; ni < n; ++ni) {
+        const float* dy = grad_out.data() + (ni * c + ci) * plane;
+        const float* xh = x_hat_.data() + (ni * c + ci) * plane;
+        for (int64_t i = 0; i < plane; ++i) {
+          sum_dy += dy[i];
+          sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
+        }
       }
     }
-    gamma_.grad[ci] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[ci] += static_cast<float>(sum_dy);
+    if (param_grads) {
+      gamma_.grad[ci] += static_cast<float>(sum_dy_xhat);
+      beta_.grad[ci] += static_cast<float>(sum_dy);
+    }
 
     const float g = gamma_.value[ci];
     const float is = inv_std_[ci];

@@ -29,9 +29,9 @@ class BatchNorm2d final : public Module {
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
 
-  // caches for backward (training mode)
-  Tensor x_hat_;     // normalized input
-  Tensor inv_std_;   // [C]
+  // caches for backward
+  Tensor x_hat_;     // normalized input; empty when no backward reads it
+  Tensor inv_std_;   // [C]; empty after a forward in an InferenceScope
   bool forward_was_training_ = true;
 };
 

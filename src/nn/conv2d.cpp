@@ -38,9 +38,9 @@ Tensor Conv2d::do_forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_c_) {
     throw std::invalid_argument("Conv2d: bad input shape " + x.shape_str());
   }
-  // In an InferenceScope no backward follows: drop the input copy, and with
-  // it whatever an earlier forward left behind.
-  input_ = inference_mode() ? Tensor() : x;
+  // Only dW reads the input copy: drop it (and whatever an earlier forward
+  // left behind) in an InputGradientScope or an InferenceScope.
+  input_ = backward_needs() == BackwardNeeds::kAll ? x : Tensor();
   geom_ = ConvGeom{in_c_, x.dim(2), x.dim(3), kernel_, kernel_, stride_, pad_};
   const int64_t n = x.dim(0);
 
@@ -55,13 +55,26 @@ Tensor Conv2d::do_forward(const Tensor& x) {
 }
 
 Tensor Conv2d::do_backward(const Tensor& grad_out) {
-  const int64_t n = input_.dim(0);
+  const int64_t n = grad_out.dim(0);
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
   const int64_t col_rows = geom_.col_rows(), col_cols = geom_.col_cols();
   const int64_t in_stride = in_c_ * geom_.in_h * geom_.in_w;
   const int64_t out_stride = out_c_ * oh * ow;
 
-  Tensor grad_in(input_.shape());
+  // dx, one sample at a time: dcols = W^T [col_rows, out_c] * gout
+  // [out_c, col_cols], scattered back by col2im. Each sample owns its slice
+  // of grad_in, so any split over samples gives the same bits.
+  Tensor grad_in({n, in_c_, geom_.in_h, geom_.in_w});
+  parallel_for(n, [&](int64_t begin, int64_t end) {
+    std::vector<float> dcols(static_cast<size_t>(col_rows * col_cols));
+    for (int64_t i = begin; i < end; ++i) {
+      gemm(true, false, col_rows, col_cols, out_c_, 1.f,
+           weight_.value.data(), col_rows, grad_out.data() + i * out_stride,
+           col_cols, 0.f, dcols.data(), col_cols);
+      col2im(geom_, dcols.data(), grad_in.data() + i * in_stride);
+    }
+  });
+  if (!kept_param_grads()) return grad_in;
 
   // dW / db partial sums: sample chunk c (samples [c*n/chunks,
   // (c+1)*n/chunks)) owns partial c, and partials are reduced in chunk
@@ -80,7 +93,6 @@ Tensor Conv2d::do_backward(const Tensor& grad_out) {
 
   parallel_for(chunks, [&](int64_t chunk_begin, int64_t chunk_end) {
     std::vector<float> cols(static_cast<size_t>(col_rows * col_cols));
-    std::vector<float> dcols(static_cast<size_t>(col_rows * col_cols));
     for (int64_t c = chunk_begin; c < chunk_end; ++c) {
       Tensor& wp = w_partials[static_cast<size_t>(c)];
       Tensor& bp = b_partials[static_cast<size_t>(c)];
@@ -90,11 +102,6 @@ Tensor Conv2d::do_backward(const Tensor& grad_out) {
         im2col(geom_, input_.data() + i * in_stride, cols.data());
         gemm(false, true, out_c_, col_rows, col_cols, 1.f, gout, col_cols,
              cols.data(), col_cols, 1.f, wp.data(), col_rows);
-        // dcols = W^T [col_rows, out_c] * gout [out_c, col_cols]
-        gemm(true, false, col_rows, col_cols, out_c_, 1.f,
-             weight_.value.data(), col_rows, gout, col_cols, 0.f,
-             dcols.data(), col_cols);
-        col2im(geom_, dcols.data(), grad_in.data() + i * in_stride);
         if (has_bias_) {
           for (int64_t oc = 0; oc < out_c_; ++oc) {
             const float* plane = gout + oc * oh * ow;

@@ -37,7 +37,8 @@ class Conv2d final : public Module {
   Param weight_;
   Param bias_;
 
-  // forward caches (input_ is empty after a forward in an InferenceScope)
+  // forward caches (input_, which only dW reads, is empty after a forward in
+  // an InputGradientScope or an InferenceScope)
   Tensor input_;     // [N, C, H, W]
   ConvGeom geom_;
 };

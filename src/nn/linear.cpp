@@ -24,7 +24,8 @@ Tensor Linear::do_forward(const Tensor& x) {
   if (x.rank() != 2 || x.dim(1) != in_f_) {
     throw std::invalid_argument("Linear: bad input shape " + x.shape_str());
   }
-  input_ = inference_mode() ? Tensor() : x;  // no copy in an InferenceScope
+  // Only dW reads the input copy: none in either scope.
+  input_ = backward_needs() == BackwardNeeds::kAll ? x : Tensor();
   const int64_t n = x.dim(0);
   Tensor out({n, out_f_});
   // out = x [n, in] * W^T [in, out], bias folded through the engine's beta
@@ -42,14 +43,16 @@ Tensor Linear::do_forward(const Tensor& x) {
 }
 
 Tensor Linear::do_backward(const Tensor& grad_out) {
-  const int64_t n = input_.dim(0);
-  // dW += gout^T [out, n] * x [n, in]
-  gemm(true, false, out_f_, in_f_, n, 1.f, grad_out.data(), out_f_,
-       input_.data(), in_f_, 1.f, weight_.grad.data(), in_f_);
-  if (has_bias_) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* row = grad_out.data() + i * out_f_;
-      for (int64_t j = 0; j < out_f_; ++j) bias_.grad[j] += row[j];
+  const int64_t n = grad_out.dim(0);
+  if (kept_param_grads()) {
+    // dW += gout^T [out, n] * x [n, in]
+    gemm(true, false, out_f_, in_f_, n, 1.f, grad_out.data(), out_f_,
+         input_.data(), in_f_, 1.f, weight_.grad.data(), in_f_);
+    if (has_bias_) {
+      for (int64_t i = 0; i < n; ++i) {
+        const float* row = grad_out.data() + i * out_f_;
+        for (int64_t j = 0; j < out_f_; ++j) bias_.grad[j] += row[j];
+      }
     }
   }
   // dx = gout [n, out] * W [out, in]

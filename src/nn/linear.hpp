@@ -28,7 +28,7 @@ class Linear final : public Module {
   bool has_bias_;
   Param weight_;
   Param bias_;
-  Tensor input_;  // [N, in]; empty after a forward in an InferenceScope
+  Tensor input_;  // [N, in]; empty after a forward in either scope
 };
 
 }  // namespace rhw::nn

@@ -1,5 +1,6 @@
 #include "nn/module.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/rng.hpp"
@@ -16,22 +17,29 @@ namespace {
 thread_local bool g_hooks_enabled = true;
 // Thread-local for the same reason: each sweep lane or serving lane decides
 // for the forwards it drives itself.
-thread_local bool g_inference_mode = false;
+thread_local Module::BackwardNeeds g_needs = Module::BackwardNeeds::kAll;
 }  // namespace
 
 Tensor Module::forward(const Tensor& x) {
-  kept_backward_state_ = !g_inference_mode;
+  kept_ = g_needs;
   Tensor y = do_forward(x);
   if (post_hook_ && (!post_hook_gated_ || hooks_enabled())) post_hook_(y);
   return y;
 }
 
 Tensor Module::backward(const Tensor& grad_out) {
-  if (!kept_backward_state_) {
+  if (kept_ == BackwardNeeds::kNone) {
     throw std::logic_error(type_name() +
                            "::backward: last forward ran in "
                            "nn::Module::InferenceScope and kept no backward "
                            "state");
+  }
+  if (kept_ == BackwardNeeds::kInputGradient &&
+      g_needs != BackwardNeeds::kInputGradient) {
+    throw std::logic_error(type_name() +
+                           "::backward: last forward ran in "
+                           "nn::Module::InputGradientScope and kept no "
+                           "parameter-gradient state");
   }
   if (backward_hook_ && (!backward_hook_gated_ || hooks_enabled())) {
     Tensor grad = grad_out;
@@ -57,13 +65,13 @@ Module::HooksDisabledScope::~HooksDisabledScope() {
   g_hooks_enabled = previous_;
 }
 
-bool Module::inference_mode() { return g_inference_mode; }
+Module::BackwardNeeds Module::backward_needs() { return g_needs; }
 
-Module::InferenceScope::InferenceScope() : previous_(g_inference_mode) {
-  g_inference_mode = true;
+Module::NeedsScope::NeedsScope(BackwardNeeds needs) : previous_(g_needs) {
+  g_needs = std::max(g_needs, needs);  // enumerators run from most kept down
 }
 
-Module::InferenceScope::~InferenceScope() { g_inference_mode = previous_; }
+Module::NeedsScope::~NeedsScope() { g_needs = previous_; }
 
 namespace {
 void collect_weight_layers_impl(Module& m, std::vector<Module*>& out) {

@@ -3,11 +3,19 @@
 // Modules cache whatever forward state their backward pass needs, so the usage
 // contract is: forward(batch) immediately followed by backward(grad) on the
 // same batch. backward() returns the gradient w.r.t. the module input and
-// accumulates parameter gradients into Param::grad. The exception is a
-// forward inside an InferenceScope (votes, certification, clean evaluation,
-// serving): it computes the same output bit for bit but keeps no backward
-// state, and backward() then throws std::logic_error until the module's next
-// forward outside the scope.
+// accumulates parameter gradients into Param::grad. Two thread-local scopes
+// narrow what a forward keeps; either way it computes the same output bit for
+// bit:
+//   * InputGradientScope (attack gradients, entered once in
+//     attacks::input_gradient): forward keeps only what dx needs, and the
+//     backward that follows, also inside the scope, returns the same dx bit
+//     for bit but leaves every Param::grad untouched.
+//   * InferenceScope (votes, certification, clean evaluation, serving):
+//     forward keeps no backward state at all.
+// backward() throws std::logic_error when the module's last forward kept less
+// than it needs: after an InferenceScope forward always, and after an
+// InputGradientScope forward unless the calling thread is still inside that
+// scope. The next forward outside both scopes restores the full backward.
 //
 // Post-forward hooks model hardware noise on stored activations (hybrid 8T-6T
 // SRAM activation memories, DESIGN.md). Hooks mutate the forward output in
@@ -62,7 +70,8 @@ class Module {
   // hooks are globally enabled); backward applies the backward hook to the
   // incoming gradient first (used to model noisy analog gradient reads in
   // HH-mode attacks — crossbar mapper installs these ungated). backward
-  // throws std::logic_error when the last forward ran in an InferenceScope.
+  // throws std::logic_error when the last forward kept too little state for
+  // it (see the usage contract above).
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& grad_out);
 
@@ -131,23 +140,47 @@ class Module {
     bool previous_;
   };
 
-  // -- inference mode (thread-local) ------------------------------------------
-  // True inside an InferenceScope on this thread. Layers read it in
-  // do_forward: they compute the same output with the same float operations,
-  // but release their backward caches instead of writing them.
-  static bool inference_mode();
-  // RAII: forwards in scope keep no backward state. Entered where no backward
-  // follows a forward (smoothing votes, clean evaluation, serving), so a
-  // replica holds no activation copies between forwards.
-  class InferenceScope {
+  // -- backward needs (thread-local) ------------------------------------------
+  // What the backward after the next forward on this thread needs. Layers
+  // read it in do_forward to decide what to cache; the output never depends
+  // on it. Scopes only narrow it: kInputGradient inside an
+  // InputGradientScope, kNone inside an InferenceScope (also when nested in
+  // an InputGradientScope, as smoothing's bulk vote copies during an attack).
+  enum class BackwardNeeds { kAll, kInputGradient, kNone };
+  static BackwardNeeds backward_needs();
+  // True inside an InferenceScope on this thread.
+  static bool inference_mode() {
+    return backward_needs() == BackwardNeeds::kNone;
+  }
+
+  // RAII base of the two scopes below: sets the thread's needs to the
+  // narrower of the current value and `needs`, and restores it on exit.
+  class NeedsScope {
    public:
-    InferenceScope();
-    ~InferenceScope();
-    InferenceScope(const InferenceScope&) = delete;
-    InferenceScope& operator=(const InferenceScope&) = delete;
+    NeedsScope(const NeedsScope&) = delete;
+    NeedsScope& operator=(const NeedsScope&) = delete;
+
+   protected:
+    explicit NeedsScope(BackwardNeeds needs);
+    ~NeedsScope();
 
    private:
-    bool previous_;
+    BackwardNeeds previous_;
+  };
+  // Forwards in scope keep no backward state. Entered where no backward
+  // follows a forward (smoothing votes, clean evaluation, serving), so a
+  // replica holds no activation copies between forwards.
+  class InferenceScope : public NeedsScope {
+   public:
+    InferenceScope() : NeedsScope(BackwardNeeds::kNone) {}
+  };
+  // Forwards in scope keep only what the input gradient needs (no Conv2d or
+  // Linear input copy, no eval-BatchNorm x_hat), and backwards in scope
+  // compute dx alone: no dW, db, dgamma or dbeta. Entered once, around the
+  // forward and backward of attacks::input_gradient.
+  class InputGradientScope : public NeedsScope {
+   public:
+    InputGradientScope() : NeedsScope(BackwardNeeds::kInputGradient) {}
   };
 
   int64_t num_parameters();
@@ -163,8 +196,13 @@ class Module {
   ActivationHook backward_hook_;
   bool backward_hook_gated_ = true;
   HookSeeder backward_seeder_;
-  // False when the last forward ran in an InferenceScope (backward throws).
-  bool kept_backward_state_ = true;
+  // True when the last forward kept the state parameter gradients need;
+  // do_backward accumulates into Param::grad only then.
+  bool kept_param_grads() const { return kept_ == BackwardNeeds::kAll; }
+
+ private:
+  // What the last forward kept for backward (the thread's needs at the time).
+  BackwardNeeds kept_ = BackwardNeeds::kAll;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

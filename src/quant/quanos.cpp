@@ -52,6 +52,7 @@ QuanosReport apply_quanos(nn::Module& model, const data::Dataset& sample,
     fc.epsilon = cfg.ans_epsilon;
     const Tensor adv = attacks::fgsm(model, batch.images, batch.labels, fc);
 
+    const nn::Module::InferenceScope inference;  // the probes: no backward
     attach_capture_hooks(layers, capture);
     (void)model.forward(batch.images);
     std::vector<Tensor> clean_acts = std::move(capture.activations);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
+#include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
@@ -112,6 +116,64 @@ TEST(Fgsm, RestoresTrainingFlag) {
   const Tensor x = Tensor::rand_uniform({2, 8}, rng);
   (void)input_gradient(net, x, {0, 1});
   EXPECT_TRUE(net.training());
+}
+
+// The input-gradient scope is per thread: an attack gradient on a pool worker
+// must not strip the parameter gradients of a training step the caller runs
+// at the same time on another replica. Run under TSan in CI.
+TEST(Fgsm, InputGradientOnAPoolWorkerLeavesCallerTrainingIntact) {
+  auto make_replica = [] {
+    models::Model model = models::build_model("vgg8", 4, 0.125f, 16);
+    rhw::RandomEngine rng(15);
+    nn::kaiming_init(*model.net, rng);
+    return std::move(model.net);
+  };
+  auto train_step = [](nn::Module& net, const Tensor& x,
+                       const std::vector<int64_t>& labels) {
+    net.set_training(true);
+    nn::SoftmaxCrossEntropy loss;
+    loss.forward(net.forward(x), labels);
+    (void)net.backward(loss.backward());
+    std::vector<Tensor> grads;
+    for (nn::Param* p : net.parameters()) grads.push_back(p->grad);
+    return grads;
+  };
+  rhw::RandomEngine rng(16);
+  const Tensor x = Tensor::rand_uniform({4, 3, 16, 16}, rng);
+  const std::vector<int64_t> labels{0, 1, 2, 3};
+
+  const auto serial = train_step(*make_replica(), x, labels);
+
+  const auto attacked = make_replica();
+  const auto trained = make_replica();
+  std::vector<Tensor> concurrent;
+  Tensor worker_grad;
+  ThreadPool pool(1);
+  // Two chunks on a one-worker pool: chunk 1 always runs on the worker.
+  pool.parallel_for(2, [&](int64_t begin, int64_t) {
+    if (begin == 1) {
+      for (int i = 0; i < 3; ++i) {
+        worker_grad = input_gradient(*attacked, x, labels);
+      }
+    } else {
+      concurrent = train_step(*trained, x, labels);
+    }
+  });
+
+  EXPECT_EQ(worker_grad.shape(), x.shape());
+  ASSERT_EQ(serial.size(), concurrent.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i].shape(), concurrent[i].shape()) << i;
+    EXPECT_EQ(std::memcmp(serial[i].data(), concurrent[i].data(),
+                          static_cast<size_t>(serial[i].numel()) *
+                              sizeof(float)),
+              0)
+        << "param " << i;
+  }
+  // And the attacked replica's own parameter gradients stayed zero.
+  for (nn::Param* p : attacked->parameters()) {
+    for (const float v : p->grad.span()) ASSERT_EQ(v, 0.f) << p->name;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "attacks/mifgsm.hpp"
 #include "attacks/pgd.hpp"
@@ -132,6 +134,27 @@ TEST(Square, DeterministicPerSeedAndSensitiveToIt) {
   double diff = 0;
   for (int64_t i = 0; i < a.numel(); ++i) diff += std::fabs(a[i] - c[i]);
   EXPECT_GT(diff, 0.0);
+}
+
+// Square's margin queries are forward-only: the queried net keeps no
+// backward state afterwards, and a stray backward says so.
+TEST(Square, QueriesKeepNoBackwardState) {
+  auto net = small_net(17);
+  rhw::RandomEngine rng(18);
+  const Tensor x = Tensor::rand_uniform({4, 8}, rng, 0.3f, 0.7f);
+  AttackContext ctx;
+  ctx.grad_net = &net;
+  ctx.eval_net = &net;
+  ctx.seed = 19;
+  (void)make_attack("square:queries=10")->perturb(ctx, x, labels_mod3(4));
+  try {
+    (void)net.backward(Tensor({4, 3}, 1.f));
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "Sequential::backward: last forward ran in "
+              "nn::Module::InferenceScope and kept no backward state");
+  }
 }
 
 TEST(Square, ReducesMarginWithoutGradients) {

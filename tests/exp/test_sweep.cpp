@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "attacks/registry.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "data/synth_cifar.hpp"
 #include "hw/registry.hpp"
 #include "models/zoo.hpp"
@@ -327,6 +334,119 @@ TEST_F(SweepTest, CurveNormalizesAttackSpecs) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("nope"), std::string::npos)
         << e.what();
+  }
+}
+
+// Threads of this process, or 0 where /proc/self/task is not there.
+int64_t process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return std::distance(it, std::filesystem::directory_iterator());
+}
+
+// An identity "attack" that records the most threads the process had while a
+// cell was crafting.
+std::atomic<int64_t> g_peak_threads{0};
+
+class ThreadProbeAttack final : public attacks::Attack {
+ public:
+  std::string name() const override { return "ThreadProbe"; }
+  float epsilon() const override { return eps_; }
+  void set_epsilon(float eps) override { eps_ = eps; }
+  Tensor perturb(const attacks::AttackContext&, const Tensor& x,
+                 const std::vector<int64_t>&) const override {
+    const int64_t now = process_threads();
+    int64_t peak = g_peak_threads.load();
+    while (now > peak && !g_peak_threads.compare_exchange_weak(peak, now)) {
+    }
+    return x;
+  }
+
+ private:
+  float eps_ = 0.f;
+};
+
+// The cell pool starts one worker per lane that gets a task, beyond the
+// caller: a two-task grid at 16 lanes adds one thread, not fifteen.
+TEST_F(SweepTest, CellPoolIsSizedToTheLanesThatGetATask) {
+  if (process_threads() == 0) GTEST_SKIP() << "no /proc/self/task";
+  attacks::AttackRegistry::instance().add(
+      "thread_probe", [](const core::SpecOptions&) -> attacks::AttackPtr {
+        return std::make_unique<ThreadProbeAttack>();
+      });
+  SweepGrid grid;
+  grid.model = model_;
+  grid.width_mult = 0.125f;
+  grid.in_size = 16;
+  grid.eval_set = &data_->test;
+  grid.base.batch_size = 16;
+  grid.backends.push_back({"ideal", "ideal"});
+  grid.modes.push_back({"SW", "ideal", "ideal"});
+  grid.attacks.push_back({"thread_probe", {0.1f}});  // one clean + one cell
+
+  (void)global_pool();  // started before the baseline count
+  const int64_t before = process_threads();
+  g_peak_threads.store(0);
+  SweepEngine::Options opt;
+  opt.threads = 16;
+  SweepEngine engine(opt);
+  const SweepResult result = engine.run(grid);
+  EXPECT_EQ(result.lanes, 16u);
+  ASSERT_GT(g_peak_threads.load(), 0);
+  EXPECT_LE(g_peak_threads.load(), before + 1);
+}
+
+// Restores (or unsets) RHW_SWEEP_THREADS when the test ends.
+class ScopedSweepThreadsEnv {
+ public:
+  ScopedSweepThreadsEnv() {
+    // rhw-lint: allow(env) — saved so the test can restore it
+    if (const char* v = std::getenv("RHW_SWEEP_THREADS")) saved_ = v;
+  }
+  ~ScopedSweepThreadsEnv() {
+    if (saved_) {
+      setenv("RHW_SWEEP_THREADS", saved_->c_str(), 1);
+    } else {
+      unsetenv("RHW_SWEEP_THREADS");
+    }
+  }
+  ScopedSweepThreadsEnv(const ScopedSweepThreadsEnv&) = delete;
+  ScopedSweepThreadsEnv& operator=(const ScopedSweepThreadsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(SweepThreadsEnv, ParsesWholeLaneCountsOrFallsBack) {
+  const ScopedSweepThreadsEnv restore;
+  unsetenv("RHW_SWEEP_THREADS");
+  EXPECT_EQ(sweep_threads_env(3), 3u);
+  setenv("RHW_SWEEP_THREADS", "", 1);
+  EXPECT_EQ(sweep_threads_env(3), 3u);
+  setenv("RHW_SWEEP_THREADS", "16", 1);
+  EXPECT_EQ(sweep_threads_env(3), 16u);
+  setenv("RHW_SWEEP_THREADS",
+         std::to_string(kMaxSweepThreads).c_str(), 1);
+  EXPECT_EQ(sweep_threads_env(3), kMaxSweepThreads);
+}
+
+TEST(SweepThreadsEnv, MalformedValuesThrowNamedError) {
+  const ScopedSweepThreadsEnv restore;
+  for (const std::string& bad : std::vector<std::string>{
+           "8x", "abc", "0", "-3", "+8", " 8", "1.5",
+           std::to_string(kMaxSweepThreads + 1), "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    setenv("RHW_SWEEP_THREADS", bad.c_str(), 1);
+    try {
+      (void)sweep_threads_env(3);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "RHW_SWEEP_THREADS='" + bad +
+                    "': expected a whole lane count in [1, " +
+                    std::to_string(kMaxSweepThreads) + "]");
+    }
   }
 }
 

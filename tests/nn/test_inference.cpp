@@ -1,7 +1,9 @@
 // Forward-only inference path: inside Module::InferenceScope every layer
 // computes the same output bit for bit but keeps no backward state, and a
 // backward() after such a forward throws a named error instead of reading
-// stale or missing caches.
+// stale or missing caches. Input-gradient path: inside
+// Module::InputGradientScope forward and backward give the same output and
+// dx bit for bit but leave every parameter gradient untouched.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "attacks/fgsm.hpp"
 #include "core/thread_pool.hpp"
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
@@ -20,6 +23,7 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/residual.hpp"
+#include "xbar/mapper.hpp"
 
 namespace rhw::nn {
 namespace {
@@ -256,6 +260,194 @@ TEST(Inference, ScopeOnAPoolWorkerLeavesTheCallerCaching) {
   for (const Tensor& l : worker_logits) EXPECT_TRUE(same_bits(logits, l));
   EXPECT_THROW((void)worker_replica->backward(Tensor(logits.shape(), 1.f)),
                std::logic_error);
+}
+
+// -- InputGradientScope ---------------------------------------------------------
+
+// Input-gradient cases: the layers whose backward computes parameter
+// gradients or reads a cache the scope drops, both residual shortcuts and
+// whole models.
+std::vector<Case> input_gradient_cases() {
+  std::vector<Case> cases;
+  for (Case& c : caching_cases()) {
+    if (c.name != "ReLU" && c.name != "MaxPool2d") cases.push_back(c);
+  }
+  // Train-mode BatchNorm keeps its full dx path (dx needs the reductions).
+  cases.push_back({"BatchNorm2d(train)",
+                   [] {
+                     ModulePtr bn = make_batchnorm();
+                     bn->set_training(true);
+                     return bn;
+                   },
+                   {2, 4, 5, 5}});
+  return cases;
+}
+
+// Forward then backward of `grad_out`, both inside an InputGradientScope.
+Tensor scoped_input_gradient(Module& m, const Tensor& x,
+                             const Tensor& grad_out) {
+  const Module::InputGradientScope input_gradient_only;
+  (void)m.forward(x);
+  return m.backward(grad_out);
+}
+
+std::vector<Tensor> param_grads(Module& m) {
+  std::vector<Tensor> out;
+  for (Param* p : m.parameters()) out.push_back(p->grad);
+  return out;
+}
+
+// Every parameter gradient set to a non-zero pattern, so "untouched" is not
+// "still zero by luck".
+void fill_param_grads(Module& m) {
+  RandomEngine rng(21);
+  for (Param* p : m.parameters()) {
+    for (float& v : p->grad.span()) v = rng.uniform(-1.f, 1.f);
+  }
+}
+
+void expect_same_param_grads(const std::vector<Tensor>& a,
+                             const std::vector<Tensor>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_bits(a[i], b[i])) << "param " << i;
+  }
+}
+
+TEST(InputGradient, ScopedDxIsBitIdenticalAndParamGradsUntouched) {
+  for (const Case& c : input_gradient_cases()) {
+    SCOPED_TRACE(c.name);
+    const Tensor x = random_input(c.input, 16);
+
+    const ModulePtr reference = c.make();
+    const Tensor y = reference->forward(x);
+    const Tensor grad_out = random_input(y.shape(), 17);
+    const Tensor expected = reference->backward(grad_out);
+
+    const ModulePtr m = c.make();
+    fill_param_grads(*m);
+    const std::vector<Tensor> before = param_grads(*m);
+    EXPECT_TRUE(same_bits(expected, scoped_input_gradient(*m, x, grad_out)));
+    expect_same_param_grads(before, param_grads(*m));
+    // A caching forward after the scope restores the full backward.
+    fill_param_grads(*reference);
+    fill_param_grads(*m);
+    (void)reference->forward(x);
+    (void)m->forward(x);
+    EXPECT_TRUE(same_bits(reference->backward(grad_out),
+                          m->backward(grad_out)));
+    expect_same_param_grads(param_grads(*reference), param_grads(*m));
+  }
+}
+
+// A crossbar-mapped model: ungated post hooks (read noise, ADC) on every
+// forward and ungated backward hooks (gradient read noise) on every backward.
+// With the noise streams pinned, the scoped dx matches the unscoped one.
+TEST(InputGradient, XbarMappedModelDxIsBitIdentical) {
+  auto make = [] {
+    ModulePtr net = make_model("vgg8");
+    xbar::XbarMapConfig cfg;
+    cfg.spec.rows = cfg.spec.cols = 16;
+    (void)xbar::map_onto_crossbars(*net, cfg);
+    return net;
+  };
+  const Tensor x = random_input({3, 3, 16, 16}, 18);
+  auto dx_of = [&](Module& net, uint64_t seed, bool scoped) {
+    reseed_noise_streams(net, seed);
+    const Tensor grad_out(Shape{3, 10}, 1.f);
+    if (scoped) return scoped_input_gradient(net, x, grad_out);
+    (void)net.forward(x);
+    return net.backward(grad_out);
+  };
+
+  const ModulePtr reference = make();
+  const ModulePtr m = make();
+  ASSERT_TRUE(collect_weight_layers(*m).front()->has_backward_hook());
+  const Tensor expected = dx_of(*reference, 5, /*scoped=*/false);
+  EXPECT_TRUE(same_bits(expected, dx_of(*m, 5, /*scoped=*/true)));
+  // The backward hooks fired: another noise draw moves dx.
+  EXPECT_FALSE(same_bits(expected, dx_of(*m, 6, /*scoped=*/true)));
+}
+
+TEST(InputGradient, AttackGradientLeavesParamGradsUntouched) {
+  for (const std::string arch : {"vgg8", "resnet18"}) {
+    SCOPED_TRACE(arch);
+    const ModulePtr net = make_model(arch);
+    fill_param_grads(*net);
+    const std::vector<Tensor> before = param_grads(*net);
+    const Tensor x = random_input({3, 3, 16, 16}, 19);
+    const Tensor grad = attacks::input_gradient(*net, x, {0, 1, 2});
+    EXPECT_EQ(grad.shape(), x.shape());
+    expect_same_param_grads(before, param_grads(*net));
+  }
+}
+
+TEST(InputGradient, BackwardOutsideTheScopeThrowsNamedError) {
+  for (const Case& c : input_gradient_cases()) {
+    SCOPED_TRACE(c.name);
+    const ModulePtr m = c.make();
+    const Tensor x = random_input(c.input, 20);
+    // A caching forward first, so stale state would be there to misuse.
+    (void)m->forward(x);
+    Tensor y;
+    {
+      const Module::InputGradientScope input_gradient_only;
+      y = m->forward(x);
+    }
+    const std::string expected =
+        m->type_name() +
+        "::backward: last forward ran in nn::Module::InputGradientScope and "
+        "kept no parameter-gradient state";
+    for (const bool in_inference : {false, true}) {
+      try {
+        if (in_inference) {
+          const Module::InferenceScope inference;
+          (void)m->backward(Tensor(y.shape(), 1.f));
+        } else {
+          (void)m->backward(Tensor(y.shape(), 1.f));
+        }
+        ADD_FAILURE() << "expected std::logic_error";
+      } catch (const std::logic_error& e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+      }
+    }
+  }
+}
+
+TEST(InputGradient, ScopesNestWithInferenceScope) {
+  using Needs = Module::BackwardNeeds;
+  EXPECT_EQ(Module::backward_needs(), Needs::kAll);
+  {
+    const Module::InputGradientScope outer;
+    EXPECT_EQ(Module::backward_needs(), Needs::kInputGradient);
+    EXPECT_FALSE(Module::inference_mode());
+    {
+      // Smoothing's bulk vote copies during an attack: no state at all.
+      const Module::InferenceScope inference;
+      EXPECT_EQ(Module::backward_needs(), Needs::kNone);
+      EXPECT_TRUE(Module::inference_mode());
+      {
+        // Scopes only narrow: an input-gradient scope cannot undo it.
+        const Module::InputGradientScope inner;
+        EXPECT_EQ(Module::backward_needs(), Needs::kNone);
+      }
+      EXPECT_EQ(Module::backward_needs(), Needs::kNone);
+    }
+    EXPECT_EQ(Module::backward_needs(), Needs::kInputGradient);
+  }
+  EXPECT_EQ(Module::backward_needs(), Needs::kAll);
+
+  // A forward in the inner InferenceScope keeps nothing, even though the
+  // caller is computing an input gradient.
+  const ModulePtr m = make_model("vgg8");
+  const Tensor x = random_input({2, 3, 16, 16}, 22);
+  const Module::InputGradientScope input_gradient_only;
+  Tensor y;
+  {
+    const Module::InferenceScope inference;
+    y = m->forward(x);
+  }
+  EXPECT_THROW((void)m->backward(Tensor(y.shape(), 1.f)), std::logic_error);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "data/synth_cifar.hpp"
 #include "models/zoo.hpp"
@@ -62,6 +64,24 @@ TEST_F(QuanosFixture, ReportsOneEntryPerWeightLayer) {
   const auto layers = nn::collect_weight_layers(*copy.net);
   EXPECT_EQ(report.ans.size(), layers.size());
   EXPECT_EQ(report.bits.size(), layers.size());
+}
+
+// The clean and adversarial activation probes are forward-only: the model
+// keeps no backward state after them, and a stray backward says so.
+TEST_F(QuanosFixture, ActivationProbesKeepNoBackwardState) {
+  auto copy = clone_model(*model_);
+  QuanosConfig cfg;
+  cfg.sample_count = 32;
+  (void)apply_quanos(*copy.net, data_->test, cfg);
+  try {
+    (void)copy.net->backward(Tensor({cfg.batch_size, 4}, 1.f));
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              copy.net->type_name() +
+                  "::backward: last forward ran in nn::Module::InferenceScope "
+                  "and kept no backward state");
+  }
 }
 
 TEST_F(QuanosFixture, AnsValuesArePositive) {
