@@ -11,7 +11,6 @@
 // perf trajectory.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "xbar/crossbar_array.hpp"
 #include "xbar/mna_solver.hpp"
 #include "xbar/nonideal.hpp"
-#include "xbar/tiled_matrix.hpp"
 
 namespace {
 
@@ -214,70 +212,9 @@ void BM_CrossbarProgramAndRead(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarProgramAndRead)->Arg(16)->Arg(32)->Arg(64);
 
-// Tile-level inference on a VGG8-sized layer (largest conv at full width:
-// 256 outputs x 2304 inputs) over 64x64 tiles, batch 100 — serial per-vector
-// matvec vs the pooled batched matmul XbarBackend executes. The batched path
-// must be >= 3x faster: samples interleave their accumulation chains instead
-// of serializing on one, and batch blocks spread across the thread pool.
-struct XbarLayerBench {
-  static constexpr int64_t kOut = 256;
-  static constexpr int64_t kIn = 2304;
-  static constexpr int64_t kBatch = 100;
-
-  xbar::TiledMatrix tiles;
-  std::vector<float> x;  // [kBatch x kIn]
-  std::vector<float> y;  // [kBatch x kOut]
-
-  static XbarLayerBench& instance() {
-    static XbarLayerBench bench;
-    return bench;
-  }
-
- private:
-  XbarLayerBench() {
-    RandomEngine rng(9);
-    std::vector<float> w(static_cast<size_t>(kOut * kIn));
-    for (auto& v : w) v = rng.uniform(-1.f, 1.f);
-    xbar::CrossbarSpec spec;
-    spec.rows = 64;
-    spec.cols = 64;
-    RandomEngine var(10);
-    tiles = xbar::TiledMatrix(w.data(), kOut, kIn, kIn, spec,
-                              xbar::CircuitModel::kFastApprox, &var);
-    x.resize(static_cast<size_t>(kBatch * kIn));
-    for (auto& v : x) v = rng.uniform(0.f, 1.f);
-    y.resize(static_cast<size_t>(kBatch * kOut));
-  }
-};
-
-void BM_XbarMatvecLoop(benchmark::State& state) {
-  auto& bench = XbarLayerBench::instance();
-  std::vector<float> sample(static_cast<size_t>(bench.kIn));
-  for (auto _ : state) {
-    for (int64_t b = 0; b < bench.kBatch; ++b) {
-      std::copy(bench.x.begin() + b * bench.kIn,
-                bench.x.begin() + (b + 1) * bench.kIn, sample.begin());
-      const auto out = bench.tiles.matvec(sample);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * bench.kBatch);
-}
-BENCHMARK(BM_XbarMatvecLoop)->Unit(benchmark::kMillisecond);
-
-void BM_XbarBatchedMatmul(benchmark::State& state) {
-  auto& bench = XbarLayerBench::instance();
-  for (auto _ : state) {
-    bench.tiles.matmul(bench.x.data(), bench.kBatch, bench.y.data());
-    benchmark::DoNotOptimize(bench.y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * bench.kBatch);
-}
-BENCHMARK(BM_XbarBatchedMatmul)->Unit(benchmark::kMillisecond);
-
 // Randomized-smoothing vote cost on a crossbar-mapped VGG8: the N noisy
 // copies used to run as N sequential inner forwards; SmoothedModule::votes
-// now tiles them into one large batch so the substrate's batched execution
+// now tiles them into one large batch so the compute engine's batched conv
 // (parallel_for over the batch dimension, one pool dispatch instead of N)
 // amortizes across copies. The Sequential/Batched pair records that ratio
 // per PR; the win scales with hardware threads relative to the per-vote

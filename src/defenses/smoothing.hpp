@@ -14,9 +14,8 @@
 //
 // Cost: the N noisy copies do NOT run as N sequential forwards. votes()
 // tiles them into one large batch (chunked to bound activation memory) so
-// the inner substrate amortizes its batched execution path — threaded gemm
-// blocks, and on crossbars the tile-level batching XbarBackend's layers ride
-// on — across copies. bench_micro's BM_SmoothVotes* pair records the
+// the compute engine's batched conv and gemm (threaded blocks) amortize
+// across copies. bench_micro's BM_SmoothVotes* pair records the
 // batched-vs-sequential speedup. Noise draws happen copy-major in the same
 // linear order the sequential loop used, so the copies see identical
 // perturbations.

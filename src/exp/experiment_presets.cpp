@@ -128,7 +128,7 @@ void print_map_report(SweepEngine& engine, const std::string& key,
   const auto* xb = dynamic_cast<const hw::XbarBackend*>(engine.backend(key));
   if (xb == nullptr) return;
   const auto& report = xb->map_report();
-  const auto& spec = xb->config().map.spec;
+  const auto& spec = xb->config().spec;
   std::printf(
       "[rhw_run] mapped %s onto %lldx%lld crossbars (RMIN=%.0f kOhm): %lld "
       "tiles, mean|dW|/max|W| = %.4f\n",

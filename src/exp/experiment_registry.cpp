@@ -169,13 +169,6 @@ std::string journal_header(const ExperimentSpec& spec, const RunOptions& run,
   return header;
 }
 
-size_t env_cell_budget() {
-  // rhw-lint: allow(env) — test-only crash injection for the resume tests
-  const char* env = std::getenv("RHW_SWEEP_CELL_BUDGET");
-  if (env == nullptr || *env == '\0') return 0;
-  return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-}
-
 PanelContext make_panel(const ExperimentSpec& spec, size_t index) {
   PanelContext pc;
   pc.spec = &spec;
@@ -477,7 +470,6 @@ std::vector<SweepResult> run_experiment(
     opt.shard_index = run.shard_index;
     opt.shard_count = run.shard_count;
     opt.resume = run.resume;
-    opt.max_cells = run.max_cells != 0 ? run.max_cells : env_cell_budget();
     opt.journal_path = out_path + ".partial/journal.jsonl";
     opt.journal_header = journal_header(spec, run, pc.tag);
     SweepEngine engine(opt);

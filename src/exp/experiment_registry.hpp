@@ -122,9 +122,6 @@ struct RunOptions {
   // Print the expanded cell listing (the exact enumeration sharding
   // partitions) instead of running anything.
   bool dry_run = false;
-  // Test-only crash injection: complete at most N sweep tasks, then throw
-  // SweepInterrupted. 0 defers to $RHW_SWEEP_CELL_BUDGET (same semantics).
-  size_t max_cells = 0;
 };
 
 // Parses one "--..." CLI token into `opts`. Returns false when the token is

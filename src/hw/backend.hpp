@@ -14,7 +14,7 @@
 //
 // Concrete backends: IdealBackend (software reference), SramBackend
 // (bit-error noise hooks + Fig. 4 layer selection), XbarBackend (crossbar
-// mapper + tile-level batched execution). String-keyed construction lives in
+// mapper, effective-weight write-back). String-keyed construction lives in
 // hw/registry.hpp.
 #pragma once
 
@@ -70,10 +70,8 @@ class HardwareBackend {
   nn::Module& module() const;
 
   // Batched inference through the prepared hardware model: module().forward
-  // with this substrate's noise hooks active. Backends may override to route
-  // through retained hardware state (XbarBackend's programmed TiledMatrix
-  // grids batch tile blocks across the thread pool).
-  virtual Tensor forward(const Tensor& x);
+  // with this substrate's noise hooks active.
+  Tensor forward(const Tensor& x);
 
   // Energy/area estimate of the prepared configuration (sram/xbar energy
   // models); the base implementation returns an empty report carrying only

@@ -44,8 +44,8 @@ BackendPtr make_sram(const BackendOptions& opts) {
 
 BackendPtr make_xbar(const BackendOptions& opts) {
   auto reader = reader_for("xbar", opts);
-  XbarBackendConfig cfg;
-  auto& spec = cfg.map.spec;
+  xbar::XbarMapConfig cfg;
+  auto& spec = cfg.spec;
   const uint64_t size = reader.integer("size", 0);
   if (size > 0) {
     spec.rows = static_cast<int64_t>(size);
@@ -62,25 +62,22 @@ BackendPtr make_xbar(const BackendOptions& opts) {
     spec.r_max = r_min * ratio;  // constant ON/OFF unless rmax given
   }
   spec.r_max = reader.number("rmax", spec.r_max);
-  cfg.map.adc_bits = static_cast<int>(
-      reader.integer("adc_bits", static_cast<uint64_t>(cfg.map.adc_bits)));
-  cfg.map.seed = reader.integer("seed", cfg.map.seed);
-  cfg.map.process_variation =
-      reader.integer("variation", cfg.map.process_variation ? 1 : 0) != 0;
-  cfg.map.gain_calibration =
-      reader.integer("calibration", cfg.map.gain_calibration ? 1 : 0) != 0;
-  cfg.map.read_noise_sigma =
-      reader.number("read_noise", cfg.map.read_noise_sigma);
-  cfg.map.grad_noise_scale =
-      reader.number("grad_noise", cfg.map.grad_noise_scale);
-  cfg.retain_tiles = reader.integer("retain_tiles", 1) != 0;
+  cfg.adc_bits = static_cast<int>(
+      reader.integer("adc_bits", static_cast<uint64_t>(cfg.adc_bits)));
+  cfg.seed = reader.integer("seed", cfg.seed);
+  cfg.process_variation =
+      reader.integer("variation", cfg.process_variation ? 1 : 0) != 0;
+  cfg.gain_calibration =
+      reader.integer("calibration", cfg.gain_calibration ? 1 : 0) != 0;
+  cfg.read_noise_sigma = reader.number("read_noise", cfg.read_noise_sigma);
+  cfg.grad_noise_scale = reader.number("grad_noise", cfg.grad_noise_scale);
   const std::string circuit = reader.text("model", "fast");
   if (circuit == "ideal") {
-    cfg.map.model = xbar::CircuitModel::kIdeal;
+    cfg.model = xbar::CircuitModel::kIdeal;
   } else if (circuit == "fast") {
-    cfg.map.model = xbar::CircuitModel::kFastApprox;
+    cfg.model = xbar::CircuitModel::kFastApprox;
   } else if (circuit == "mna") {
-    cfg.map.model = xbar::CircuitModel::kExactMna;
+    cfg.model = xbar::CircuitModel::kExactMna;
   } else {
     throw std::invalid_argument("backend xbar: unknown circuit model '" +
                                 circuit + "' (ideal|fast|mna)");

@@ -16,7 +16,7 @@
 //             data
 //   xbar    size=<n> rows=<n> cols=<n> rmin=<ohm> rmax=<ohm> adc_bits=<n>
 //           seed=<u64> variation=<0|1> calibration=<0|1> read_noise=<f>
-//           grad_noise=<f> model=<ideal|fast|mna> retain_tiles=<0|1>
+//           grad_noise=<f> model=<ideal|fast|mna>
 //           — rmin without rmax keeps the spec's ON/OFF ratio constant
 //
 // Unknown keys and unknown options throw std::invalid_argument. Downstream

@@ -9,7 +9,7 @@ void XbarBackend::do_prepare(nn::Module& net,
                              const data::Dataset* calibration) {
   (void)sites;        // crossbars live in the weight layers, not the
   (void)calibration;  // activation memories
-  mapped_ = xbar::map_onto_crossbars_detailed(net, cfg_.map, cfg_.retain_tiles);
+  report_ = xbar::map_onto_crossbars(net, cfg_);
 }
 
 BackendPtr XbarBackend::replicate() const {
@@ -20,18 +20,17 @@ EnergyReport XbarBackend::energy_report() const {
   EnergyReport report;
   report.backend = name();
   const xbar::XbarEnergyModel energy;
-  const auto& spec = cfg_.map.spec;
-  report.energy_nj = energy.model_mvm_energy_nj(mapped_.report.num_tiles, spec,
-                                                cfg_.map.adc_bits);
+  const auto& spec = cfg_.spec;
+  report.energy_nj =
+      energy.model_mvm_energy_nj(report_.num_tiles, spec, cfg_.adc_bits);
   report.area_um2 =
-      static_cast<double>(mapped_.report.num_tiles) * energy.tile_area_um2(spec);
-  report.details.emplace_back("tiles",
-                              std::to_string(mapped_.report.num_tiles));
+      static_cast<double>(report_.num_tiles) * energy.tile_area_um2(spec);
+  report.details.emplace_back("tiles", std::to_string(report_.num_tiles));
   report.details.emplace_back(
       "tile", std::to_string(spec.rows) + "x" + std::to_string(spec.cols));
-  report.details.emplace_back("adc_bits", std::to_string(cfg_.map.adc_bits));
+  report.details.emplace_back("adc_bits", std::to_string(cfg_.adc_bits));
   report.details.emplace_back(
-      "mean_weight_err", core::fmt(mapped_.report.mean_rel_weight_error, 4));
+      "mean_weight_err", core::fmt(report_.mean_rel_weight_error, 4));
   return report;
 }
 

@@ -1,11 +1,10 @@
 // Memristive-crossbar backend: the paper's Sec. III-B substrate behind the
 // HardwareBackend seam.
 //
-// prepare() maps every weight layer onto crossbar tiles (effective-weight
-// write-back + ungated ADC/read-noise/gradient hooks, xbar/mapper.hpp) and —
-// by default — retains the programmed TiledMatrix grids, so callers can run
-// tile-level batched matmul directly (the pooled execution path bench_micro
-// measures against serial matvec).
+// prepare() maps every weight layer onto crossbar tiles and writes the
+// effective weights back into the layers, installing the ungated
+// ADC/read-noise/gradient hooks (xbar/mapper.hpp). Inference then runs
+// through the layers' normal forward path.
 #pragma once
 
 #include "hw/backend.hpp"
@@ -14,15 +13,9 @@
 
 namespace rhw::hw {
 
-struct XbarBackendConfig {
-  xbar::XbarMapConfig map;
-  // Keep the programmed tile grids alive for tile-level batched execution.
-  bool retain_tiles = true;
-};
-
 class XbarBackend final : public HardwareBackend {
  public:
-  explicit XbarBackend(XbarBackendConfig cfg = {}) : cfg_(cfg) {}
+  explicit XbarBackend(xbar::XbarMapConfig cfg = {}) : cfg_(cfg) {}
 
   std::string name() const override { return "xbar"; }
 
@@ -30,17 +23,13 @@ class XbarBackend final : public HardwareBackend {
   // tile silicon area from the xbar energy model.
   EnergyReport energy_report() const override;
 
-  // Mapping is deterministic from the config (cfg.map.seed), so a config
-  // copy reproduces the prepared state exactly.
+  // Mapping is deterministic from the config (cfg.seed), so a config copy
+  // reproduces the prepared state exactly.
   BackendPtr replicate() const override;
 
-  const xbar::XbarMapReport& map_report() const { return mapped_.report; }
-  // One entry per mapped weight layer; .tiles is non-null when retain_tiles.
-  const std::vector<xbar::XbarMappedLayer>& mapped_layers() const {
-    return mapped_.layers;
-  }
+  const xbar::XbarMapReport& map_report() const { return report_; }
 
-  const XbarBackendConfig& config() const { return cfg_; }
+  const xbar::XbarMapConfig& config() const { return cfg_; }
 
  protected:
   void do_prepare(nn::Module& net,
@@ -48,8 +37,8 @@ class XbarBackend final : public HardwareBackend {
                   const data::Dataset* calibration) override;
 
  private:
-  XbarBackendConfig cfg_;
-  xbar::XbarMapResult mapped_;
+  xbar::XbarMapConfig cfg_;
+  xbar::XbarMapReport report_;
 };
 
 }  // namespace rhw::hw

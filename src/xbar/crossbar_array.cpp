@@ -2,93 +2,10 @@
 
 #include <stdexcept>
 
-#include "core/thread_pool.hpp"
 #include "xbar/mna_solver.hpp"
 #include "xbar/nonideal.hpp"
 
 namespace rhw::xbar {
-
-namespace {
-
-// Samples processed together per kernel pass. The serial matvec is bound by
-// the latency of its single double-add dependency chain; kBatchLanes
-// independent chains keep the FP units busy instead, without reordering any
-// per-sample sum.
-constexpr int64_t kBatchLanes = 8;
-
-// Single-sample scalar kernel (remainder lanes): arithmetic identical to
-// matvec — ascending-i double accumulation of exact float->double products.
-void mv_single(const float* w, int64_t out_m, int64_t in_n, const float* x,
-               float* y, bool accumulate) {
-  for (int64_t o = 0; o < out_m; ++o) {
-    const float* wrow = w + o * in_n;
-    double acc = 0.0;
-    for (int64_t i = 0; i < in_n; ++i) {
-      acc += static_cast<double>(wrow[i]) * x[i];
-    }
-    const float v = static_cast<float>(acc);
-    y[o] = accumulate ? y[o] + v : v;
-  }
-}
-
-// 8-sample block kernel. xpack holds the block transposed and pre-converted
-// to double, lane-interleaved (xpack[i * 8 + l] = sample l's input i), so
-// every step is a contiguous packed multiply-add. Bit-exactness with matvec
-// is preserved: the float->double conversions are exact, each product of two
-// converted floats is exact in double (24-bit mantissas into 53), and each
-// lane keeps its own accumulator summed in ascending-i order — vector width
-// and FMA contraction cannot change any per-sample result.
-#if defined(__GNUC__) || defined(__clang__)
-typedef double v2d __attribute__((vector_size(16)));
-// Load type with element alignment only: vector<double> data is not
-// guaranteed 16-byte aligned on every target, so loads must not assume it
-// (the compiler emits unaligned moves, same speed on modern x86).
-typedef double v2d_u __attribute__((vector_size(16), aligned(8)));
-
-void mv_block8(const float* w, int64_t out_m, int64_t in_n,
-               const double* xpack, float* y, int64_t ldy, bool accumulate) {
-  for (int64_t o = 0; o < out_m; ++o) {
-    const float* wrow = w + o * in_n;
-    v2d acc0 = {0, 0}, acc1 = {0, 0}, acc2 = {0, 0}, acc3 = {0, 0};
-    for (int64_t i = 0; i < in_n; ++i) {
-      const double wv = static_cast<double>(wrow[i]);
-      const v2d wvv = {wv, wv};
-      const double* xi = xpack + i * kBatchLanes;
-      acc0 += wvv * *reinterpret_cast<const v2d_u*>(xi);
-      acc1 += wvv * *reinterpret_cast<const v2d_u*>(xi + 2);
-      acc2 += wvv * *reinterpret_cast<const v2d_u*>(xi + 4);
-      acc3 += wvv * *reinterpret_cast<const v2d_u*>(xi + 6);
-    }
-    const double acc[kBatchLanes] = {acc0[0], acc0[1], acc1[0], acc1[1],
-                                     acc2[0], acc2[1], acc3[0], acc3[1]};
-    for (int64_t l = 0; l < kBatchLanes; ++l) {
-      float* yo = y + l * ldy + o;
-      const float v = static_cast<float>(acc[l]);
-      *yo = accumulate ? *yo + v : v;
-    }
-  }
-}
-#else
-void mv_block8(const float* w, int64_t out_m, int64_t in_n,
-               const double* xpack, float* y, int64_t ldy, bool accumulate) {
-  for (int64_t o = 0; o < out_m; ++o) {
-    const float* wrow = w + o * in_n;
-    double acc[kBatchLanes] = {};
-    for (int64_t i = 0; i < in_n; ++i) {
-      const double wv = static_cast<double>(wrow[i]);
-      const double* xi = xpack + i * kBatchLanes;
-      for (int64_t l = 0; l < kBatchLanes; ++l) acc[l] += wv * xi[l];
-    }
-    for (int64_t l = 0; l < kBatchLanes; ++l) {
-      float* yo = y + l * ldy + o;
-      const float v = static_cast<float>(acc[l]);
-      *yo = accumulate ? *yo + v : v;
-    }
-  }
-}
-#endif
-
-}  // namespace
 
 CrossbarArray::CrossbarArray(const float* w, int64_t out_m, int64_t in_n,
                              int64_t ldw, const CrossbarSpec& spec,
@@ -96,14 +13,15 @@ CrossbarArray::CrossbarArray(const float* w, int64_t out_m, int64_t in_n,
                              rhw::RandomEngine* variation_rng)
     : spec_(spec),
       tile_(program_tile(w, out_m, in_n, ldw, spec, variation_rng)) {
+  std::vector<double> g_pos_eff, g_neg_eff;
   switch (model) {
     case CircuitModel::kIdeal:
-      g_pos_eff_ = tile_.g_pos;
-      g_neg_eff_ = tile_.g_neg;
+      g_pos_eff = tile_.g_pos;
+      g_neg_eff = tile_.g_neg;
       break;
     case CircuitModel::kFastApprox:
-      g_pos_eff_ = nonideal_conductances(tile_.g_pos, spec_);
-      g_neg_eff_ = nonideal_conductances(tile_.g_neg, spec_);
+      g_pos_eff = nonideal_conductances(tile_.g_pos, spec_);
+      g_neg_eff = nonideal_conductances(tile_.g_neg, spec_);
       break;
     case CircuitModel::kExactMna: {
       // The exact solver already includes driver/sense/wire paths, and the
@@ -111,20 +29,12 @@ CrossbarArray::CrossbarArray(const float* w, int64_t out_m, int64_t in_n,
       // characterizes the tile.
       MnaSolver pos(tile_.g_pos, spec_);
       MnaSolver neg(tile_.g_neg, spec_);
-      g_pos_eff_ = pos.effective_conductance();
-      g_neg_eff_ = neg.effective_conductance();
+      g_pos_eff = pos.effective_conductance();
+      g_neg_eff = neg.effective_conductance();
       break;
     }
   }
-  w_eff_ = tile_weights(tile_, g_pos_eff_, g_neg_eff_, spec_);
-  // The conductance matrices are construction intermediates: every read path
-  // (matvec/matmul/effective_weights) works off w_eff_. Releasing them keeps
-  // retained tile grids at ~1x the layer's weight memory instead of ~9x
-  // (four double matrices vs one float one).
-  std::vector<double>().swap(tile_.g_pos);
-  std::vector<double>().swap(tile_.g_neg);
-  std::vector<double>().swap(g_pos_eff_);
-  std::vector<double>().swap(g_neg_eff_);
+  w_eff_ = tile_weights(tile_, g_pos_eff, g_neg_eff, spec_);
 }
 
 std::vector<float> CrossbarArray::matvec(const std::vector<float>& x) const {
@@ -141,56 +51,6 @@ std::vector<float> CrossbarArray::matvec(const std::vector<float>& x) const {
     y[static_cast<size_t>(o)] = static_cast<float>(acc);
   }
   return y;
-}
-
-void CrossbarArray::matmul_strided(const float* x, int64_t ldx, int64_t batch,
-                                   float* y, int64_t ldy,
-                                   bool accumulate) const {
-  std::vector<double> scratch;
-  matmul_strided(x, ldx, batch, y, ldy, accumulate, scratch);
-}
-
-void CrossbarArray::matmul_strided(const float* x, int64_t ldx, int64_t batch,
-                                   float* y, int64_t ldy, bool accumulate,
-                                   std::vector<double>& scratch) const {
-  const float* w = w_eff_.data();
-  const int64_t in_n = tile_.in_n;
-  if (static_cast<int64_t>(scratch.size()) < in_n * kBatchLanes) {
-    scratch.resize(static_cast<size_t>(in_n * kBatchLanes));
-  }
-  std::vector<double>& xpack = scratch;
-  int64_t b = 0;
-  for (; b + kBatchLanes <= batch; b += kBatchLanes) {
-    for (int64_t l = 0; l < kBatchLanes; ++l) {
-      const float* xrow = x + (b + l) * ldx;
-      for (int64_t i = 0; i < in_n; ++i) {
-        xpack[static_cast<size_t>(i * kBatchLanes + l)] =
-            static_cast<double>(xrow[i]);
-      }
-    }
-    mv_block8(w, tile_.out_m, in_n, xpack.data(), y + b * ldy, ldy,
-              accumulate);
-  }
-  for (; b < batch; ++b) {
-    mv_single(w, tile_.out_m, in_n, x + b * ldx, y + b * ldy, accumulate);
-  }
-}
-
-void CrossbarArray::matmul(const float* x, int64_t batch, float* y) const {
-  if (batch <= 0) return;
-  const int64_t in_n = tile_.in_n;
-  const int64_t out_m = tile_.out_m;
-  rhw::parallel_for(batch, [&](int64_t begin, int64_t end) {
-    matmul_strided(x + begin * in_n, in_n, end - begin, y + begin * out_m,
-                   out_m, /*accumulate=*/false);
-  });
-}
-
-void CrossbarArray::scale_outputs(const float* gains) {
-  for (int64_t o = 0; o < tile_.out_m; ++o) {
-    float* row = w_eff_.data() + o * tile_.in_n;
-    for (int64_t i = 0; i < tile_.in_n; ++i) row[i] *= gains[o];
-  }
 }
 
 }  // namespace rhw::xbar

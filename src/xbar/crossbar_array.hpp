@@ -26,30 +26,6 @@ class CrossbarArray {
   // to weight units: y_o = sum_i W'_oi * x_i  (size out_m).
   std::vector<float> matvec(const std::vector<float>& x) const;
 
-  // Batched read: x is [batch x in_n] row-major, y is [batch x out_m]
-  // row-major (overwritten). Batch blocks run across the global thread pool,
-  // and within a block samples are interleaved so their accumulation chains
-  // overlap. Each sample's sum still runs over i in ascending order with one
-  // double accumulator, so the result is bit-identical to per-sample matvec
-  // for every batch size.
-  void matmul(const float* x, int64_t batch, float* y) const;
-
-  // Strided serial kernel behind matmul, exposed for tiled execution: rows of
-  // x advance by ldx, rows of y by ldy; accumulate=true adds into y (used
-  // when a logical matrix spans several tiles along the input dimension).
-  // The scratch overload reuses the caller's staging buffer across calls
-  // (resized as needed) instead of allocating per call.
-  void matmul_strided(const float* x, int64_t ldx, int64_t batch, float* y,
-                      int64_t ldy, bool accumulate) const;
-  void matmul_strided(const float* x, int64_t ldx, int64_t batch, float* y,
-                      int64_t ldy, bool accumulate,
-                      std::vector<double>& scratch) const;
-
-  // Per-column sense-amplifier / ADC reference trim: scales output o of the
-  // realized weights by gains[o]. The mapper uses this to keep retained
-  // tiles consistent with its gain-calibrated write-back weights.
-  void scale_outputs(const float* gains);
-
   // The weights the non-ideal tile effectively realizes, [out_m x in_n].
   const std::vector<float>& effective_weights() const { return w_eff_; }
 
@@ -60,8 +36,6 @@ class CrossbarArray {
  private:
   CrossbarSpec spec_;
   ProgrammedTile tile_;
-  std::vector<double> g_pos_eff_;
-  std::vector<double> g_neg_eff_;
   std::vector<float> w_eff_;
 };
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "quant/quantizer.hpp"
+#include "xbar/tiled_matrix.hpp"
 
 namespace rhw::xbar {
 
@@ -62,11 +63,8 @@ void install_peripheral_hook(nn::Module& layer, const XbarMapConfig& cfg,
 
 }  // namespace
 
-XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
-                                          const XbarMapConfig& cfg,
-                                          bool retain_tiles) {
-  XbarMapResult result;
-  XbarMapReport& report = result.report;
+XbarMapReport map_onto_crossbars(nn::Module& net, const XbarMapConfig& cfg) {
+  XbarMapReport report;
   rhw::RandomEngine master(cfg.seed);
   double err_acc = 0.0;
   int64_t err_count = 0;
@@ -75,10 +73,6 @@ XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
   for (nn::Module* layer : nn::collect_weight_layers(net)) {
     ++report.num_layers;
     rhw::RandomEngine layer_rng = master.fork(report.num_layers);
-    XbarMappedLayer mapped;
-    mapped.layer = layer;
-    mapped.label =
-        layer->type_name() + "#" + std::to_string(report.num_layers - 1);
     double layer_err_acc = 0.0;
     int64_t layer_err_count = 0;
     double layer_atten_acc = 0.0;
@@ -89,11 +83,11 @@ XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
       const int64_t out = w.dim(0), in = w.dim(1);
       const float layer_scale = std::max(w.abs_max(), 1e-12f);
       Tensor original = w;
-      auto tiles = std::make_shared<TiledMatrix>(
+      const TiledWeights tiled = tiled_effective_weights(
           original.data(), out, in, in, cfg.spec, cfg.model,
           cfg.process_variation ? &layer_rng : nullptr);
-      report.num_tiles += tiles->num_tiles();
-      const std::vector<float> w_eff = tiles->effective_weights();
+      report.num_tiles += tiled.num_tiles;
+      const std::vector<float>& w_eff = tiled.weights;
       double abs_orig = 0.0, abs_eff = 0.0;
       for (int64_t o = 0; o < out; ++o) {
         for (int64_t i = 0; i < in; ++i) {
@@ -111,10 +105,7 @@ XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
         // Per-output-channel trim: each crossbar column has its own sense
         // amplifier / ADC reference, so the per-column gain is calibrated
         // individually (standard practice). Residual distortion is the
-        // within-column structure calibration cannot reach. The same trim
-        // applies to the tile grid, keeping retained tiles consistent with
-        // the written-back weights.
-        std::vector<float> gains(static_cast<size_t>(out), 1.f);
+        // within-column structure calibration cannot reach.
         for (int64_t o = 0; o < out; ++o) {
           double row_orig = 0.0, row_eff = 0.0;
           for (int64_t i = 0; i < in; ++i) {
@@ -123,13 +114,10 @@ XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
           }
           if (row_eff > 0.0) {
             const auto gain = static_cast<float>(row_orig / row_eff);
-            gains[static_cast<size_t>(o)] = gain;
             for (int64_t i = 0; i < in; ++i) w.at(o, i) *= gain;
           }
         }
-        tiles->scale_output_gains(gains);
       }
-      if (retain_tiles) mapped.tiles = std::move(tiles);
       for (int64_t o = 0; o < out; ++o) {
         for (int64_t i = 0; i < in; ++i) {
           const double rel = std::fabs(w.at(o, i) - original.at(o, i)) /
@@ -153,7 +141,6 @@ XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
     atten_acc += layer_attenuation;
     install_peripheral_hook(*layer, cfg, layer_distortion, layer_attenuation,
                             cfg.seed ^ (0xFEED * report.num_layers));
-    result.layers.push_back(std::move(mapped));
   }
   report.mean_rel_weight_error =
       err_count > 0 ? err_acc / static_cast<double>(err_count) : 0.0;
@@ -161,11 +148,7 @@ XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
       report.num_layers > 0
           ? atten_acc / static_cast<double>(report.num_layers)
           : 0.0;
-  return result;
-}
-
-XbarMapReport map_onto_crossbars(nn::Module& net, const XbarMapConfig& cfg) {
-  return map_onto_crossbars_detailed(net, cfg, /*retain_tiles=*/false).report;
+  return report;
 }
 
 }  // namespace rhw::xbar

@@ -17,13 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "nn/module.hpp"
 #include "xbar/crossbar_array.hpp"
-#include "xbar/tiled_matrix.hpp"
 
 namespace rhw::xbar {
 
@@ -74,30 +70,10 @@ struct XbarMapReport {
   double mean_ir_attenuation = 0.0;
 };
 
-// One weight layer after mapping. When tiles are retained, `tiles` is the
-// live tile grid (TiledMatrix) programmed with this layer's weights — the
-// batched tile-level executor XbarBackend serves matmul requests from.
-struct XbarMappedLayer {
-  nn::Module* layer = nullptr;
-  std::string label;  // "<type_name>#<index in execution order>"
-  std::shared_ptr<TiledMatrix> tiles;  // null unless retain_tiles
-};
-
-struct XbarMapResult {
-  XbarMapReport report;
-  std::vector<XbarMappedLayer> layers;
-};
-
 // Mutates net in place (callers clone the software baseline first): programs
 // every rank-2 "weight" parameter onto crossbar tiles, writes the effective
 // weights back, and installs the peripheral (ADC/read-noise) and gradient
-// hooks. retain_tiles keeps the programmed TiledMatrix per layer for direct
-// batched execution.
-XbarMapResult map_onto_crossbars_detailed(nn::Module& net,
-                                          const XbarMapConfig& cfg,
-                                          bool retain_tiles);
-
-// Report-only convenience used by code that needs no tile handles.
+// hooks.
 XbarMapReport map_onto_crossbars(nn::Module& net, const XbarMapConfig& cfg);
 
 }  // namespace rhw::xbar

@@ -1,75 +1,30 @@
 #include "xbar/tiled_matrix.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "core/thread_pool.hpp"
 
 namespace rhw::xbar {
 
-TiledMatrix::TiledMatrix(const float* w, int64_t out, int64_t in, int64_t ldw,
-                         const CrossbarSpec& spec, CircuitModel model,
-                         rhw::RandomEngine* variation_rng)
-    : out_(out), in_(in) {
+TiledWeights tiled_effective_weights(const float* w, int64_t out, int64_t in,
+                                     int64_t ldw, const CrossbarSpec& spec,
+                                     CircuitModel model,
+                                     rhw::RandomEngine* variation_rng) {
+  TiledWeights result;
+  result.weights.assign(static_cast<size_t>(out * in), 0.f);
   for (int64_t i0 = 0; i0 < in; i0 += spec.rows) {
     const int64_t in_n = std::min(spec.rows, in - i0);
     for (int64_t o0 = 0; o0 < out; o0 += spec.cols) {
       const int64_t out_m = std::min(spec.cols, out - o0);
-      tiles_.push_back({i0, o0,
-                        CrossbarArray(w + o0 * ldw + i0, out_m, in_n, ldw,
-                                      spec, model, variation_rng)});
-    }
-  }
-}
-
-void TiledMatrix::matmul(const float* x, int64_t batch, float* y) const {
-  if (batch <= 0) return;
-  rhw::parallel_for(batch, [&](int64_t begin, int64_t end) {
-    const int64_t n = end - begin;
-    float* yb = y + begin * out_;
-    std::fill(yb, yb + n * out_, 0.f);
-    std::vector<double> scratch;  // staging buffer shared across tiles
-    for (const PlacedTile& t : tiles_) {
-      t.array.matmul_strided(x + begin * in_ + t.i0, in_, n, yb + t.o0, out_,
-                             /*accumulate=*/true, scratch);
-    }
-  });
-}
-
-std::vector<float> TiledMatrix::matvec(const std::vector<float>& x) const {
-  if (static_cast<int64_t>(x.size()) != in_) {
-    throw std::invalid_argument("TiledMatrix::matvec: bad input size");
-  }
-  std::vector<float> y(static_cast<size_t>(out_), 0.f);
-  for (const PlacedTile& t : tiles_) {
-    t.array.matmul_strided(x.data() + t.i0, in_, 1, y.data() + t.o0, out_,
-                           /*accumulate=*/true);
-  }
-  return y;
-}
-
-void TiledMatrix::scale_output_gains(const std::vector<float>& gains) {
-  if (static_cast<int64_t>(gains.size()) != out_) {
-    throw std::invalid_argument("TiledMatrix::scale_output_gains: bad size");
-  }
-  for (PlacedTile& t : tiles_) {
-    t.array.scale_outputs(gains.data() + t.o0);
-  }
-}
-
-std::vector<float> TiledMatrix::effective_weights() const {
-  std::vector<float> w(static_cast<size_t>(out_ * in_), 0.f);
-  for (const PlacedTile& t : tiles_) {
-    const auto& w_eff = t.array.effective_weights();
-    const int64_t tile_in = t.array.in_n();
-    for (int64_t o = 0; o < t.array.out_m(); ++o) {
-      for (int64_t i = 0; i < tile_in; ++i) {
-        w[static_cast<size_t>((t.o0 + o) * in_ + t.i0 + i)] =
-            w_eff[static_cast<size_t>(o * tile_in + i)];
+      const CrossbarArray tile(w + o0 * ldw + i0, out_m, in_n, ldw, spec,
+                               model, variation_rng);
+      const std::vector<float>& w_eff = tile.effective_weights();
+      for (int64_t o = 0; o < out_m; ++o) {
+        std::copy_n(w_eff.data() + o * in_n, in_n,
+                    result.weights.data() + (o0 + o) * in + i0);
       }
+      ++result.num_tiles;
     }
   }
-  return w;
+  return result;
 }
 
 }  // namespace rhw::xbar

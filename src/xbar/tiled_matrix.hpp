@@ -1,16 +1,8 @@
 // A full [out x in] weight matrix realized as a grid of crossbar tiles.
 //
-// This is the tile-level execution engine behind XbarBackend: where the
-// mapper historically constructed one CrossbarArray per tile only to read its
-// effective weights back, TiledMatrix keeps the programmed tiles alive and
-// serves *batched* matrix products directly — batch blocks run across the
-// global thread pool and samples within a block interleave their
-// accumulation chains (see CrossbarArray::matmul). Per-sample arithmetic is
-// bit-identical to looping matvec over the batch.
-//
-// Tile construction order is input-blocks outer, output-blocks inner — the
-// mapper's historical order — so a shared variation RNG consumes draws in
-// exactly the stream older code produced.
+// Tiles are programmed input-blocks outer, output-blocks inner. A shared
+// variation RNG draws in that order, so the order is part of every mapped
+// weight (tests/xbar/test_mapper.cpp pins them bit for bit).
 #pragma once
 
 #include <cstdint>
@@ -20,50 +12,19 @@
 
 namespace rhw::xbar {
 
-class TiledMatrix {
- public:
-  TiledMatrix() = default;
-
-  // Programs w [out x in] (row-major, leading dimension ldw) onto
-  // ceil(in / spec.rows) x ceil(out / spec.cols) tiles.
-  TiledMatrix(const float* w, int64_t out, int64_t in, int64_t ldw,
-              const CrossbarSpec& spec, CircuitModel model,
-              rhw::RandomEngine* variation_rng);
-
-  int64_t out_m() const { return out_; }
-  int64_t in_n() const { return in_; }
-  int64_t num_tiles() const { return static_cast<int64_t>(tiles_.size()); }
-
-  // y = W' x for a whole batch: x [batch x in], y [batch x out], both
-  // row-major, y overwritten. Batch blocks are distributed over the global
-  // thread pool; within a block each tile's partial products accumulate into
-  // y in fixed tile order, so results are bit-identical to matvec for every
-  // batch size and thread count.
-  void matmul(const float* x, int64_t batch, float* y) const;
-
-  // Serial single-vector reference: one matmul lane.
-  std::vector<float> matvec(const std::vector<float>& x) const;
-
-  // The effective (non-ideal) weights the grid realizes, [out x in]
+struct TiledWeights {
+  // The effective (non-ideal) weights the tile grid realizes, [out x in]
   // row-major — what the mapper writes back into the layer.
-  std::vector<float> effective_weights() const;
-
-  // Per-output sense-amplifier / ADC reference trim: scales output o of
-  // every covering tile by gains[o] (size out). The mapper applies its gain
-  // calibration here too, so retained tile grids stay element-for-element
-  // consistent with the calibrated weights written back into the layer.
-  void scale_output_gains(const std::vector<float>& gains);
-
- private:
-  struct PlacedTile {
-    int64_t i0 = 0;  // first input column covered by this tile
-    int64_t o0 = 0;  // first output row covered by this tile
-    CrossbarArray array;
-  };
-
-  int64_t out_ = 0;
-  int64_t in_ = 0;
-  std::vector<PlacedTile> tiles_;
+  std::vector<float> weights;
+  int64_t num_tiles = 0;
 };
+
+// Programs w [out x in] (row-major, leading dimension ldw) onto
+// ceil(in / spec.rows) x ceil(out / spec.cols) tiles and assembles their
+// effective weights.
+TiledWeights tiled_effective_weights(const float* w, int64_t out, int64_t in,
+                                     int64_t ldw, const CrossbarSpec& spec,
+                                     CircuitModel model,
+                                     rhw::RandomEngine* variation_rng);
 
 }  // namespace rhw::xbar

@@ -375,11 +375,11 @@ TEST(ExperimentGolden, Fig8bcExpandsToThePreRedesignGrid) {
   const auto* b = dynamic_cast<const hw::XbarBackend*>(from_old_bench.get());
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->config().map.spec.rows, b->config().map.spec.rows);
-  EXPECT_EQ(a->config().map.spec.cols, b->config().map.spec.cols);
-  EXPECT_DOUBLE_EQ(a->config().map.spec.r_min, b->config().map.spec.r_min);
-  EXPECT_DOUBLE_EQ(a->config().map.spec.r_max, b->config().map.spec.r_max);
-  EXPECT_EQ(a->config().map.seed, b->config().map.seed);
+  EXPECT_EQ(a->config().spec.rows, b->config().spec.rows);
+  EXPECT_EQ(a->config().spec.cols, b->config().spec.cols);
+  EXPECT_DOUBLE_EQ(a->config().spec.r_min, b->config().spec.r_min);
+  EXPECT_DOUBLE_EQ(a->config().spec.r_max, b->config().spec.r_max);
+  EXPECT_EQ(a->config().seed, b->config().seed);
 }
 
 // `rhw_run sweep_smoke` mirrors the old imperative smoke grid, with verify=1

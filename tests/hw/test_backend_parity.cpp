@@ -3,17 +3,16 @@
 //  - IdealBackend is bit-exact with the raw module;
 //  - SramBackend at vdd = 0.9 (negligible 6T error rate) matches ideal
 //    within tolerance;
-//  - batched TiledMatrix/CrossbarArray matmul matches looped matvec exactly
-//    (per-sample accumulation order is identical by construction).
+//  - the xbar tile grid assembles exactly the per-tile CrossbarArray weights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "hw/ideal_backend.hpp"
 #include "hw/registry.hpp"
 #include "hw/sram_backend.hpp"
-#include "hw/xbar_backend.hpp"
 #include "models/zoo.hpp"
 #include "nn/model_io.hpp"
 #include "xbar/tiled_matrix.hpp"
@@ -92,70 +91,11 @@ TEST(BackendParity, SramLowVddActuallyPerturbs) {
   EXPECT_GT(max_diff, 0.0);
 }
 
-TEST(BackendParity, CrossbarArrayMatmulMatchesMatvecExactly) {
-  const int64_t out = 24, in = 30;
-  RandomEngine rng(7);
-  std::vector<float> w(static_cast<size_t>(out * in));
-  for (auto& v : w) v = rng.uniform(-1.f, 1.f);
-  xbar::CrossbarSpec spec;
-  spec.rows = 32;
-  spec.cols = 32;
-  RandomEngine var(8);
-  const xbar::CrossbarArray tile(w.data(), out, in, in, spec,
-                                 xbar::CircuitModel::kFastApprox, &var);
-
-  for (int64_t batch : {1, 3, 8, 17, 100}) {
-    std::vector<float> x(static_cast<size_t>(batch * in));
-    for (auto& v : x) v = rng.uniform(-2.f, 2.f);
-    std::vector<float> y(static_cast<size_t>(batch * out), -1.f);
-    tile.matmul(x.data(), batch, y.data());
-    for (int64_t b = 0; b < batch; ++b) {
-      const std::vector<float> sample(x.begin() + b * in,
-                                      x.begin() + (b + 1) * in);
-      const auto want = tile.matvec(sample);
-      for (int64_t o = 0; o < out; ++o) {
-        ASSERT_EQ(want[static_cast<size_t>(o)], y[b * out + o])
-            << "batch " << batch << " sample " << b << " output " << o;
-      }
-    }
-  }
-}
-
-TEST(BackendParity, TiledMatrixMatmulMatchesMatvecExactly) {
-  // Dimensions that do not divide the tile size: exercises partial tiles in
-  // both directions.
-  const int64_t out = 48, in = 100;
-  RandomEngine rng(17);
-  std::vector<float> w(static_cast<size_t>(out * in));
-  for (auto& v : w) v = rng.uniform(-1.f, 1.f);
-  xbar::CrossbarSpec spec;
-  spec.rows = 32;
-  spec.cols = 32;
-  RandomEngine var(18);
-  const xbar::TiledMatrix tiles(w.data(), out, in, in, spec,
-                                xbar::CircuitModel::kFastApprox, &var);
-  EXPECT_EQ(tiles.num_tiles(), 4 * 2);
-
-  for (int64_t batch : {1, 5, 64}) {
-    std::vector<float> x(static_cast<size_t>(batch * in));
-    for (auto& v : x) v = rng.uniform(-2.f, 2.f);
-    std::vector<float> y(static_cast<size_t>(batch * out), -1.f);
-    tiles.matmul(x.data(), batch, y.data());
-    for (int64_t b = 0; b < batch; ++b) {
-      const std::vector<float> sample(x.begin() + b * in,
-                                      x.begin() + (b + 1) * in);
-      const auto want = tiles.matvec(sample);
-      for (int64_t o = 0; o < out; ++o) {
-        ASSERT_EQ(want[static_cast<size_t>(o)], y[b * out + o])
-            << "batch " << batch << " sample " << b << " output " << o;
-      }
-    }
-  }
-}
-
-TEST(BackendParity, TiledMatrixEffectiveWeightsMatchTileMatvec) {
-  // The assembled effective weights must reproduce the tile-level product on
-  // an ideal circuit (no distortion beyond programming quantization).
+TEST(BackendParity, TiledEffectiveWeightsMatchPerTileArrays) {
+  // 40 x 20 over 16 x 16 tiles: partial tiles along both dimensions. Each
+  // block of the assembled matrix must be exactly the CrossbarArray built on
+  // that block — with variation on, when the blocks are programmed in the
+  // documented order (input blocks outer) from the same RNG stream.
   const int64_t out = 20, in = 40;
   RandomEngine rng(23);
   std::vector<float> w(static_cast<size_t>(out * in));
@@ -163,59 +103,32 @@ TEST(BackendParity, TiledMatrixEffectiveWeightsMatchTileMatvec) {
   xbar::CrossbarSpec spec;
   spec.rows = 16;
   spec.cols = 16;
-  const xbar::TiledMatrix tiles(w.data(), out, in, in, spec,
-                                xbar::CircuitModel::kIdeal, nullptr);
-  const auto w_eff = tiles.effective_weights();
-  std::vector<float> x(static_cast<size_t>(in));
-  for (auto& v : x) v = rng.uniform(-1.f, 1.f);
-  const auto got = tiles.matvec(x);
-  for (int64_t o = 0; o < out; ++o) {
-    double want = 0.0;
-    for (int64_t i = 0; i < in; ++i) {
-      want += static_cast<double>(w_eff[static_cast<size_t>(o * in + i)]) *
-              x[static_cast<size_t>(i)];
-    }
-    EXPECT_NEAR(static_cast<float>(want), got[static_cast<size_t>(o)], 1e-4f);
-  }
-}
-
-TEST(BackendParity, XbarBackendRetainsTilesAndMatchesModuleShapes) {
-  models::Model backed = tiny_model();
-  auto backend = hw::make_backend("xbar:size=32");
-  backend->prepare(backed);
-  const auto* xb = dynamic_cast<const hw::XbarBackend*>(backend.get());
-  ASSERT_NE(xb, nullptr);
-  ASSERT_GT(xb->mapped_layers().size(), 0u);
-  for (const auto& layer : xb->mapped_layers()) {
-    ASSERT_NE(layer.tiles, nullptr) << layer.label;
-    EXPECT_GT(layer.tiles->num_tiles(), 0);
-  }
-  // The prepared hardware model still runs end to end.
-  const Tensor logits = backend->forward(random_batch(2, 31));
-  EXPECT_EQ(logits.dim(0), 2);
-  EXPECT_EQ(logits.dim(1), 10);
-}
-
-TEST(BackendParity, RetainedTilesMatchCalibratedModuleWeights) {
-  // The mapper's per-output gain calibration must hit the retained tile
-  // grids too, or the tile-level executor diverges from the prepared module.
-  models::Model backed = tiny_model();
-  auto backend = hw::make_backend("xbar:size=32");
-  backend->prepare(backed);
-  const auto* xb = dynamic_cast<const hw::XbarBackend*>(backend.get());
-  ASSERT_NE(xb, nullptr);
-  for (const auto& layer : xb->mapped_layers()) {
-    ASSERT_NE(layer.tiles, nullptr);
-    const nn::Param* weight = nullptr;
-    for (nn::Param* p : layer.layer->parameters()) {
-      if (p->name == "weight" && p->value.rank() == 2) weight = p;
-    }
-    ASSERT_NE(weight, nullptr) << layer.label;
-    const auto w_eff = layer.tiles->effective_weights();
-    ASSERT_EQ(static_cast<int64_t>(w_eff.size()), weight->value.numel());
-    for (int64_t i = 0; i < weight->value.numel(); ++i) {
-      ASSERT_EQ(w_eff[static_cast<size_t>(i)], weight->value[i])
-          << layer.label << " flat index " << i;
+  for (const bool variation : {false, true}) {
+    const auto model = variation ? xbar::CircuitModel::kFastApprox
+                                 : xbar::CircuitModel::kIdeal;
+    RandomEngine var(24), ref_var(24);
+    const xbar::TiledWeights tiled = xbar::tiled_effective_weights(
+        w.data(), out, in, in, spec, model, variation ? &var : nullptr);
+    ASSERT_EQ(tiled.weights.size(), w.size());
+    EXPECT_EQ(tiled.num_tiles, 3 * 2);
+    for (int64_t i0 = 0; i0 < in; i0 += spec.rows) {
+      const int64_t in_n = std::min(spec.rows, in - i0);
+      for (int64_t o0 = 0; o0 < out; o0 += spec.cols) {
+        const int64_t out_m = std::min(spec.cols, out - o0);
+        const xbar::CrossbarArray tile(w.data() + o0 * in + i0, out_m, in_n,
+                                       in, spec, model,
+                                       variation ? &ref_var : nullptr);
+        const auto& want = tile.effective_weights();
+        for (int64_t o = 0; o < out_m; ++o) {
+          for (int64_t i = 0; i < in_n; ++i) {
+            const auto tile_at = static_cast<size_t>(o * in_n + i);
+            const auto grid_at = static_cast<size_t>((o0 + o) * in + i0 + i);
+            ASSERT_EQ(want[tile_at], tiled.weights[grid_at])
+                << "variation " << variation << " tile (" << i0 << ", " << o0
+                << ") element (" << o << ", " << i << ")";
+          }
+        }
+      }
     }
   }
 }

@@ -29,6 +29,7 @@ TEST(BackendRegistry, UnknownOptionThrows) {
   EXPECT_THROW(hw::make_backend("xbar:bogus=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(hw::make_backend("sram:vdd=abc"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(hw::make_backend("ideal:x=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
+  EXPECT_THROW(hw::make_backend("xbar:retain_tiles=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
 }
 
 TEST(BackendRegistry, MalformedOptionThrows) {
@@ -71,9 +72,9 @@ TEST(BackendRegistry, ReplicateReproducesConfig) {
   ASSERT_NE(replica, nullptr);
   const auto* xb = dynamic_cast<const hw::XbarBackend*>(replica.get());
   ASSERT_NE(xb, nullptr);
-  EXPECT_EQ(xb->config().map.spec.rows, 16);
-  EXPECT_DOUBLE_EQ(xb->config().map.spec.r_min, 10e3);
-  EXPECT_EQ(xb->config().map.adc_bits, 6);
+  EXPECT_EQ(xb->config().spec.rows, 16);
+  EXPECT_DOUBLE_EQ(xb->config().spec.r_min, 10e3);
+  EXPECT_EQ(xb->config().adc_bits, 6);
   EXPECT_FALSE(replica->prepared());
 
   // SramBackend carries its installed selection into the replica, so replica
@@ -99,14 +100,14 @@ TEST(BackendRegistry, XbarOptionsParse) {
   const auto* xb = dynamic_cast<const hw::XbarBackend*>(backend.get());
   ASSERT_NE(xb, nullptr);
   EXPECT_EQ(xb->name(), "xbar");
-  EXPECT_EQ(xb->config().map.spec.rows, 16);
-  EXPECT_EQ(xb->config().map.spec.cols, 16);
-  EXPECT_DOUBLE_EQ(xb->config().map.spec.r_min, 10e3);
+  EXPECT_EQ(xb->config().spec.rows, 16);
+  EXPECT_EQ(xb->config().spec.cols, 16);
+  EXPECT_DOUBLE_EQ(xb->config().spec.r_min, 10e3);
   // rmin moved with constant ON/OFF ratio.
-  EXPECT_DOUBLE_EQ(xb->config().map.spec.r_max, 100e3);
-  EXPECT_EQ(xb->config().map.adc_bits, 6);
-  EXPECT_DOUBLE_EQ(xb->config().map.grad_noise_scale, 0.0);
-  EXPECT_EQ(xb->config().map.model, xbar::CircuitModel::kIdeal);
+  EXPECT_DOUBLE_EQ(xb->config().spec.r_max, 100e3);
+  EXPECT_EQ(xb->config().adc_bits, 6);
+  EXPECT_DOUBLE_EQ(xb->config().grad_noise_scale, 0.0);
+  EXPECT_EQ(xb->config().model, xbar::CircuitModel::kIdeal);
 }
 
 TEST(BackendRegistry, SramOptionsParse) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -262,6 +263,32 @@ TEST_F(ServerTest, StochasticRepliesMatchPerRequestSeededSerialForward) {
     EXPECT_EQ(replies[i].score, logits.data()[replies[i].predicted])
         << "request " << i;
   }
+}
+
+// The same check with reference seeds derived here from the documented
+// stream layout, derive(derive(seed, kServeRequestStream), id), instead of
+// trusting Server::request_seed: one image served under several ids must hit
+// a fresh noise stream per id (distinct scores), each equal to the reference.
+TEST_F(ServerTest, StochasticRequestIdsSelectIndependentlyDerivedStreams) {
+  const ServeArm arm = make_arm("sram:sites=2,num_8t=2,vdd=0.6", "");
+  const std::vector<Tensor> inputs(6, eval_inputs(1)[0]);
+  const std::vector<Reply> replies = serve_all(arm, 2, inputs);
+  ASSERT_EQ(replies.size(), inputs.size());
+
+  const Reference ref = make_reference(arm);
+  const uint64_t request_stream =
+      derive_stream_seed(kSeed, kServeRequestStream);
+  std::set<float> scores;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    nn::reseed_noise_streams(ref.serving()->module(),
+                             derive_stream_seed(request_stream, i));
+    const Tensor logits = ref.serving()->forward(inputs[i]);
+    EXPECT_EQ(replies[i].predicted, logits.argmax_rows()[0]) << "request " << i;
+    EXPECT_EQ(replies[i].score, logits.data()[replies[i].predicted])
+        << "request " << i;
+    scores.insert(replies[i].score);
+  }
+  EXPECT_EQ(scores.size(), inputs.size());
 }
 
 // Same seed => same per-request outputs at any lane count: one lane and eight

@@ -5,6 +5,9 @@
 #include <cmath>
 
 #include "core/rng.hpp"
+#include "hw/registry.hpp"
+#include "hw/xbar_backend.hpp"
+#include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/init.hpp"
 #include "nn/conv2d.hpp"
@@ -199,6 +202,45 @@ TEST(Mapper, BiggerCrossbarsMoreWeightError) {
     EXPECT_GT(report.mean_rel_weight_error, prev) << "n=" << n;
     prev = report.mean_rel_weight_error;
   }
+}
+
+// FNV-1a over every byte of every state_dict tensor, in key order.
+uint64_t state_digest(nn::Module& net) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [name, t] : nn::state_dict(net)) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+    for (size_t i = 0; i < static_cast<size_t>(t.numel()) * sizeof(float);
+         ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Prepares `spec` on a fixed-seed initialised tiny vgg8 and returns the
+// digest of the mapped weights; *num_tiles receives the mapper's tile count.
+uint64_t mapped_vgg8_digest(const std::string& spec, int64_t* num_tiles) {
+  models::Model model = models::build_model("vgg8", 10, 0.125f, 16);
+  rhw::RandomEngine rng(21);
+  nn::kaiming_init(*model.net, rng);
+  auto backend = hw::make_backend(spec);
+  backend->prepare(model);
+  const auto* xb = dynamic_cast<const hw::XbarBackend*>(backend.get());
+  EXPECT_NE(xb, nullptr);
+  *num_tiles = xb != nullptr ? xb->map_report().num_tiles : -1;
+  return state_digest(*model.net);
+}
+
+// Pins every prepared weight bit for bit (calibrated write-back included):
+// the constants were recorded once and must only change with a deliberate,
+// documented re-baseline of the crossbar model.
+TEST(Mapper, MappedWeightsArePinnedBitForBit) {
+  int64_t tiles = 0;
+  EXPECT_EQ(mapped_vgg8_digest("xbar:size=32", &tiles), 0xe241f7577ca7a917ull);
+  EXPECT_EQ(tiles, 36);
+  EXPECT_EQ(mapped_vgg8_digest("xbar:size=16,model=ideal,variation=0", &tiles),
+            0x2f3a76189c17e376ull);
+  EXPECT_EQ(tiles, 111);
 }
 
 }  // namespace
