@@ -55,7 +55,7 @@ int main() {
   const auto& selection = sram_backend->selection_result();
 
   std::printf("\nmethodology results (FGSM eps=%.2f sweep):\n",
-              sram_backend->config().selector.epsilon);
+              static_cast<double>(selection.epsilon));
   std::printf("  baseline adv accuracy: %.2f%%\n", selection.baseline_adv_acc);
   std::printf("  shortlisted sites (> +%.0f%%):\n",
               sram_backend->config().selector.improvement_threshold);

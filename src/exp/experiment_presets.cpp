@@ -2,8 +2,7 @@
 // of the reproduction as a named, overridable ExperimentSpec — plus the
 // preset-specific presentation (paper-style tables, map reports, shape-check
 // text) as ExperimentPrograms. Grid assembly lives exclusively in the specs;
-// programs only set up runtime-registered backend keys (the Fig. 4
-// methodology's "sram_selected") and render results.
+// programs only render results.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -18,110 +17,10 @@
 #include "hw/sram_backend.hpp"
 #include "hw/xbar_backend.hpp"
 #include "sram/layer_selector.hpp"
-#include "sram/noise_hook.hpp"
 
 namespace rhw::exp {
 
 namespace {
-
-// -- Fig. 4 methodology plumbing (shared by fig5 / table1 / table2) -----------
-
-std::string selection_cache_path(const std::string& arch,
-                                 const std::string& dataset) {
-  return bench_out_dir() + "/selection_" + arch + "_" + dataset + ".txt";
-}
-
-// Registers (or replaces) the "sram_selected" backend key: an SramBackend
-// carrying an explicit precomputed site selection, so grids re-evaluating a
-// methodology result reference it by spec string like any other hardware.
-// The only knob is vdd; the selection itself is baked into the factory.
-void register_selected_sram_backend(
-    const std::vector<sram::SiteChoice>& selected) {
-  hw::BackendRegistry::instance().add(
-      "sram_selected",
-      [selected](const hw::BackendOptions& opts) -> hw::BackendPtr {
-        auto reader = core::OptionReader("backend", "sram_selected", opts);
-        hw::SramBackendConfig cfg;
-        cfg.vdd = reader.number("vdd", 0.68);
-        cfg.selection = selected;
-        reader.finish();
-        return std::make_unique<hw::SramBackend>(std::move(cfg));
-      });
-}
-
-// The weight-noise ablation as a proper backend: prepare() corrupts the
-// weight layers feeding the selected sites, as if the weight memories were
-// read through erroneous 6T cells. Registered under "sram_weight_noise" so
-// grids reference it by spec string; replicate() returns a fresh copy whose
-// (deterministic) prepare reproduces the corruption bit-for-bit.
-class WeightNoiseBackend final : public hw::HardwareBackend {
- public:
-  explicit WeightNoiseBackend(std::vector<sram::SiteChoice> selected)
-      : selected_(std::move(selected)) {}
-
-  std::string name() const override { return "sram_weight_noise"; }
-
-  hw::BackendPtr replicate() const override {
-    return std::make_unique<WeightNoiseBackend>(selected_);
-  }
-
- protected:
-  void do_prepare(nn::Module& net, const std::vector<models::ActivationSite>&,
-                  const data::Dataset*) override {
-    // The validation-time stand-in registers this key with an empty
-    // selection so `rhw_run --list`/docs_check can resolve the fig5w spec;
-    // actually *running* it without the methodology's selection would be a
-    // silent no-op arm, so fail loudly instead.
-    if (selected_.empty()) {
-      throw std::invalid_argument(
-          "backend sram_weight_noise: no site selection registered — the "
-          "fig5w preset's setup bakes one in; this key is not usable from "
-          "other experiments");
-    }
-    auto layers = nn::collect_weight_layers(net);
-    for (size_t k = 0; k < selected_.size() && k < layers.size(); ++k) {
-      sram::SramNoiseConfig nc;
-      nc.word = selected_[k].word;
-      nc.vdd = 0.68;
-      sram::corrupt_layer_weights(*layers[k], nc);
-    }
-  }
-
- private:
-  std::vector<sram::SiteChoice> selected_;
-};
-
-void register_weight_noise_backend(
-    const std::vector<sram::SiteChoice>& selected) {
-  hw::BackendRegistry::instance().add(
-      "sram_weight_noise",
-      [selected](const hw::BackendOptions& opts) -> hw::BackendPtr {
-        core::OptionReader("backend", "sram_weight_noise", opts).finish();
-        return std::make_unique<WeightNoiseBackend>(selected);
-      });
-}
-
-// Runs (or loads from cache) the methodology for one panel.
-sram::SelectionResult run_methodology(PanelContext& pc) {
-  const std::string cache =
-      selection_cache_path(pc.arch.arch, pc.dataset.tag);
-  sram::SelectionResult result;
-  if (sram::load_selection(cache, &result) &&
-      result.per_site_best.size() == pc.model.sites.size()) {
-    std::printf("[rhw_run] loaded cached selection from %s\n", cache.c_str());
-    return result;
-  }
-  sram::SelectorConfig cfg;
-  cfg.eval_count = 192;
-  // Probe strength where the baseline attack is meaningful: the 100-class
-  // models sit much closer to their decision boundaries, so the sweep uses a
-  // gentler epsilon there (at 0.1 their baseline adversarial accuracy is
-  // already ~0 and no configuration can clear the +5% bar).
-  cfg.epsilon = pc.model.num_classes > 50 ? 0.04f : 0.1f;
-  result = sram::select_layers(pc.model, pc.data.test, cfg);
-  sram::save_selection(cache, result);
-  return result;
-}
 
 void print_map_report(SweepEngine& engine, const std::string& key,
                       const std::string& model_name) {
@@ -148,6 +47,14 @@ ExperimentBackend arm(std::string key, std::string hw,
 const char* kTinyTrained = "tiny:classes=10,train=100,test=25,size=16";
 const char* kSmallVgg8 = "vgg8:width=0.125,in=16";
 
+// The Fig. 4 methodology arm of fig5/fig5w/table1/table2: calibrated on the
+// panel's test split (@calib), the sweep's prototype replica runs
+// sram::select_layers once at the class-count probe epsilon and every other
+// replica copies its selection.
+const char* kMethodologySram = "sram:vdd=0.68,eval_count=192";
+const char* kMethodologySramWeights =
+    "sram:vdd=0.68,eval_count=192,memory=weights";
+
 // -- fig5 / fig5w -------------------------------------------------------------
 
 ExperimentSpec fig5_spec(bool weights) {
@@ -166,8 +73,9 @@ ExperimentSpec fig5_spec(bool weights) {
     }
   }
   s.backends.push_back(arm("ideal", "ideal"));
-  s.backends.push_back(
-      arm("noisy", weights ? "sram_weight_noise" : "sram_selected:vdd=0.68"));
+  s.backends.push_back(arm("noisy", weights ? kMethodologySramWeights
+                                            : kMethodologySram,
+                           "", true));
   // Attack gradients come from the clean model (noise never in gradients).
   s.modes.push_back({"Baseline", "ideal", "ideal"});
   s.modes.push_back({"BitErrorNoise", "ideal", "noisy"});
@@ -181,15 +89,6 @@ class Fig5Program final : public ExperimentProgram {
       : weights_(weights),
         table_({"network", "dataset", "eps", "AL baseline", "AL bit-error",
                 "AL reduction", "clean (noisy)", "adv (noisy)"}) {}
-
-  void setup(PanelContext& pc) override {
-    const auto selection = run_methodology(pc);
-    if (weights_) {
-      register_weight_noise_backend(selection.selected);
-    } else {
-      register_selected_sram_backend(selection.selected);
-    }
-  }
 
   void report(PanelContext& pc) override {
     const SweepResult& result = *pc.result;
@@ -247,11 +146,11 @@ ExperimentSpec config_table_spec(const std::string& arch,
   s.panels.push_back({arch, "synth-c10"});
   s.panels.push_back({arch, "synth-c100"});
   s.backends.push_back(arm("ideal", "ideal"));
-  s.backends.push_back(arm("noisy", "sram_selected:vdd=0.68"));
+  s.backends.push_back(arm("noisy", kMethodologySram, "", true));
   s.modes.push_back({"Baseline", "ideal", "ideal"});
   s.modes.push_back({"BitErrorNoise", "ideal", "noisy"});
-  // Probe epsilons for both dataset difficulties; the report picks the
-  // meaningful one per panel (0.04 for 100-class models, 0.1 otherwise).
+  // Probe epsilons for both dataset difficulties; the report picks the one
+  // the panel's selection used (0.04 for 100-class models, 0.1 otherwise).
   // Both panels sweep both probes — two extra cells per panel, negligible
   // next to the methodology run, and it keeps the grid declarative instead
   // of per-panel.
@@ -264,27 +163,32 @@ class ConfigTableProgram final : public ExperimentProgram {
   explicit ConfigTableProgram(std::string table_name)
       : table_name_(std::move(table_name)) {}
 
-  void setup(PanelContext& pc) override {
-    selection_ = run_methodology(pc);
-    register_selected_sram_backend(selection_.selected);
-
+  void report(PanelContext& pc) override {
+    const auto* sram =
+        dynamic_cast<const hw::SramBackend*>(pc.engine->backend("noisy"));
+    if (sram == nullptr) {
+      std::printf("  (no noisy replica was prepared in this run)\n\n");
+      ExperimentProgram::report(pc);
+      return;
+    }
+    const sram::SelectionResult& selection = sram->selection_result();
     std::vector<std::string> headers{"dataset"};
     std::vector<std::string> row{pc.dataset.tag};
     for (const auto& site : pc.model.sites) {
       headers.push_back(site.label);
       std::string cell = "H";
-      for (const auto& sel : selection_.selected) {
+      for (const auto& sel : selection.selected) {
         if (sel.site_label == site.label) cell = sel.word.ratio_label();
       }
       row.push_back(cell);
     }
     headers.push_back("VDD");
-    row.push_back("0.68V");
+    row.push_back(core::fmt(sram->config().vdd, 2) + "V");
     headers.push_back("CA/Deviation");
-    row.push_back(core::fmt(selection_.final_clean_acc, 2) + " / " +
-                  core::fmt(selection_.baseline_clean_acc -
-                          selection_.final_clean_acc,
-                      2));
+    row.push_back(core::fmt(selection.final_clean_acc, 2) + " / " +
+                  core::fmt(selection.baseline_clean_acc -
+                                selection.final_clean_acc,
+                            2));
     TablePrinter table(headers);
     table.add_row(row);
     table.print();
@@ -293,20 +197,17 @@ class ConfigTableProgram final : public ExperimentProgram {
     std::printf(
         "  baseline: clean %.2f%%  adv(FGSM eps=%.2f) %.2f%%  |  with noise: "
         "adv %.2f%%  (selected %zu sites out of %zu; shortlist %zu)\n\n",
-        selection_.baseline_clean_acc,
-        pc.model.num_classes > 50 ? 0.04 : 0.1, selection_.baseline_adv_acc,
-        selection_.final_adv_acc, selection_.selected.size(),
-        pc.model.sites.size(), selection_.shortlisted.size());
-  }
+        selection.baseline_clean_acc,
+        static_cast<double>(selection.epsilon), selection.baseline_adv_acc,
+        selection.final_adv_acc, selection.selected.size(),
+        pc.model.sites.size(), selection.shortlisted.size());
 
-  void report(PanelContext& pc) override {
     // Sweep-engine re-check of the selected configuration at the probe
-    // epsilon (gentler for 100-class models).
+    // epsilon the selection used.
     const SweepResult& result = *pc.result;
-    const size_t eps_index = pc.model.num_classes > 50 ? 1 : 0;
-    const auto* base = result.find(0, 0, eps_index);
-    const auto* noise = result.find(1, 0, eps_index);
-    if (base != nullptr && noise != nullptr) {
+    for (size_t e = 0; const auto* base = result.find(0, 0, e); ++e) {
+      const auto* noise = result.find(1, 0, e);
+      if (noise == nullptr || base->epsilon != selection.epsilon) continue;
       std::printf(
           "  [sweep] eval-set re-check (FGSM eps=%.2f): baseline clean "
           "%.2f%% adv %.2f%%  |  noisy clean %.2f%% adv %.2f%%  (AL %.2f -> "
@@ -332,7 +233,6 @@ class ConfigTableProgram final : public ExperimentProgram {
 
  private:
   std::string table_name_;
-  sram::SelectionResult selection_;
 };
 
 // -- fig6 / fig7 (crossbar robustness figures) --------------------------------
@@ -1090,14 +990,6 @@ class AblationChipProgram final : public ExperimentProgram {
 }  // namespace
 
 void register_builtin_experiments(ExperimentRegistry& registry) {
-  // Validation-time stand-ins for the methodology-registered keys: fig5 and
-  // the config tables reference "sram_selected" / "sram_weight_noise" before
-  // their setup() bakes in a real selection, and `rhw_run --list` must be
-  // able to validate those specs without running the methodology. The
-  // programs re-register the keys with the computed selection per panel.
-  register_selected_sram_backend({});
-  register_weight_noise_backend({});
-
   registry.add(
       "fig5", [] { return fig5_spec(false); },
       [] { return std::make_unique<Fig5Program>(false); });

@@ -448,7 +448,6 @@ std::vector<SweepResult> run_experiment(
     // stay byte-comparable across runs).
     ExperimentStamp panel_stamp = stamp;
     panel_stamp.dataset = pc.dataset.canonical;
-    program->setup(pc);
 
     // Serving mode: the spec drives serve::Server + serve::LoadGen instead
     // of the sweep engine — a latency-vs-offered-load curve per arm, written

@@ -13,9 +13,8 @@
 // every result file records the exact command that reproduces it.
 //
 // Presets keep their bench-specific presentation (paper-style tables, shape
-// checks, the Fig. 4 methodology setup) in an ExperimentProgram — hooks
-// around the declarative pipeline, never grid assembly: the grid always
-// comes from the ExperimentSpec.
+// checks) in an ExperimentProgram — hooks after the declarative pipeline,
+// never grid assembly: the grid always comes from the ExperimentSpec.
 #pragma once
 
 #include <functional>
@@ -51,7 +50,7 @@ struct RunContext {
   std::vector<std::string> overrides;  // user-supplied tokens
 };
 
-// Per-preset presentation/setup hooks. One instance lives for the whole run,
+// Per-preset presentation hooks. One instance lives for the whole run,
 // so cross-panel state (fig5's combined table) sits in members. The default
 // report() prints a generic mode x attack x eps table plus an AL(eps) ASCII
 // plot per attack — enough for most presets; programs override to add the
@@ -59,10 +58,6 @@ struct RunContext {
 class ExperimentProgram {
  public:
   virtual ~ExperimentProgram() = default;
-
-  // Before the panel's grid is built: register runtime backend keys (the
-  // Fig. 4 methodology's "sram_selected"), print preamble.
-  virtual void setup(PanelContext&) {}
 
   // After the panel's sweep. Default: generic table + plots.
   virtual void report(PanelContext& panel);

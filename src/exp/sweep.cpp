@@ -628,6 +628,39 @@ std::string ExperimentStamp::command() const {
   return out;
 }
 
+void ExperimentStamp::write_json(JsonWriter& w) const {
+  if (preset.empty()) {
+    w.null_value();
+    return;
+  }
+  w.begin_object();
+  w.field("preset", preset);
+  w.field("command", command());
+  w.key("overrides");
+  w.begin_array();
+  for (const auto& token : overrides) w.value(token);
+  w.end_array();
+  w.key("canonical");
+  w.begin_array();
+  for (const auto& token : canonical) w.value(token);
+  w.end_array();
+  // The panel's resolved canonical dataset spec (data::DatasetRegistry).
+  if (!dataset.empty()) w.field("dataset", dataset);
+  // Shard provenance: which slice of the canonical enumeration this
+  // artifact holds, and — post-merge — how many shard files built it.
+  if (shard_count > 1) {
+    w.key("shard");
+    w.begin_object();
+    w.field("index", static_cast<int64_t>(shard_index));
+    w.field("count", static_cast<int64_t>(shard_count));
+    w.end_object();
+  }
+  if (merged_shards > 0) {
+    w.field("merged_shards", static_cast<int64_t>(merged_shards));
+  }
+  w.end_object();
+}
+
 void SweepResult::write_json(const std::string& path,
                              const std::string& figure) const {
   const std::filesystem::path p(path);
@@ -652,39 +685,7 @@ void SweepResult::write_json(std::ostream& os, const std::string& figure,
   // runs whose results must still agree byte-for-byte.
   if (!payload_only) {
     w.key("experiment");
-    if (experiment.preset.empty()) {
-      w.null_value();
-    } else {
-      w.begin_object();
-      w.field("preset", experiment.preset);
-      w.field("command", experiment.command());
-      w.key("overrides");
-      w.begin_array();
-      for (const auto& token : experiment.overrides) w.value(token);
-      w.end_array();
-      w.key("canonical");
-      w.begin_array();
-      for (const auto& token : experiment.canonical) w.value(token);
-      w.end_array();
-      // The panel's resolved canonical dataset spec (data::DatasetRegistry).
-      if (!experiment.dataset.empty()) {
-        w.field("dataset", experiment.dataset);
-      }
-      // Shard provenance: which slice of the canonical enumeration this
-      // artifact holds, and — post-merge — how many shard files built it.
-      if (experiment.shard_count > 1) {
-        w.key("shard");
-        w.begin_object();
-        w.field("index", static_cast<int64_t>(experiment.shard_index));
-        w.field("count", static_cast<int64_t>(experiment.shard_count));
-        w.end_object();
-      }
-      if (experiment.merged_shards > 0) {
-        w.field("merged_shards",
-                static_cast<int64_t>(experiment.merged_shards));
-      }
-      w.end_object();
-    }
+    experiment.write_json(w);
   }
   w.field("trials", static_cast<int64_t>(trials));
   w.field("base_seed", base_seed);

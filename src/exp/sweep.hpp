@@ -202,6 +202,10 @@ struct ExperimentStamp {
   // "rhw_run <preset> <overrides...> [--shard=i/n]" — the reproducing
   // command line.
   std::string command() const;
+  // The artifact's "experiment" value, shared by the rhw-sweep-v4 and
+  // rhw-serve-v1 writers: null for an ad-hoc run (empty preset), else the
+  // preset, command, overrides, canonical args, dataset and provenance.
+  void write_json(JsonWriter& w) const;
 };
 
 struct SweepResult {

@@ -38,6 +38,13 @@ BackendPtr make_sram(const BackendOptions& opts) {
       static_cast<float>(reader.number("eps", cfg.selector.epsilon));
   cfg.selector.eval_count = static_cast<int64_t>(reader.integer(
       "eval_count", static_cast<uint64_t>(cfg.selector.eval_count)));
+  const std::string memory = reader.text("memory", "activations");
+  if (memory == "weights") {
+    cfg.memory = SramMemory::kWeights;
+  } else if (memory != "activations") {
+    throw std::invalid_argument("backend sram: unknown memory '" + memory +
+                                "' (activations|weights)");
+  }
   reader.finish();
   return std::make_unique<SramBackend>(std::move(cfg));
 }

@@ -11,9 +11,11 @@
 //
 //   ideal   (no options)
 //   sram    vdd=<V> seed=<u64> sites=<n> num_8t=<n> eps=<f> eval_count=<n>
+//           memory=<activations|weights>
 //           — sites/num_8t set the fallback configuration; eps/eval_count
 //             tune the Fig. 4 selector used when prepare() gets calibration
-//             data
+//             data (eps=0, the default, picks it by class count); memory
+//             names what the hybrid words hold
 //   xbar    size=<n> rows=<n> cols=<n> rmin=<ohm> rmax=<ohm> adc_bits=<n>
 //           seed=<u64> variation=<0|1> calibration=<0|1> read_noise=<f>
 //           grad_noise=<f> model=<ideal|fast|mna>

@@ -30,8 +30,19 @@ void SramBackend::do_prepare(nn::Module& net,
       installed_.push_back(choice);
     }
   }
-  sram::apply_selection(std::span<const models::ActivationSite>(sites),
-                        installed_, cfg_.vdd, cfg_.seed, cfg_.ber);
+  if (cfg_.memory == SramMemory::kActivations) {
+    sram::apply_selection(std::span<const models::ActivationSite>(sites),
+                          installed_, cfg_.vdd, cfg_.seed, cfg_.ber);
+    return;
+  }
+  // The k-th choice corrupts the k-th weight layer, not the layer feeding
+  // the chosen site.
+  const auto layers = nn::collect_weight_layers(net);
+  for (size_t k = 0; k < installed_.size() && k < layers.size(); ++k) {
+    sram::corrupt_layer_weights(*layers[k],
+                                {installed_[k].word, cfg_.vdd, cfg_.seed},
+                                cfg_.ber);
+  }
 }
 
 BackendPtr SramBackend::replicate() const {

@@ -1,13 +1,17 @@
 // Hybrid 8T-6T SRAM backend: the paper's Sec. III-A substrate behind the
 // HardwareBackend seam.
 //
-// prepare() installs bit-error noise hooks on activation-memory sites. The
-// configuration resolves in priority order:
+// prepare() decides which sites get hybrid memories, in priority order:
 //   1. an explicit `selection` (site index + hybrid word per site);
 //   2. the Fig. 4 layer-selection methodology, when a calibration set is
 //      passed to prepare();
 //   3. a fixed fallback: `default_word` on the first `default_sites` sites.
-// Hooks are gated, so attack gradients never see the noise (paper rule).
+// With `memory` = kActivations (the paper's configuration) it installs
+// bit-error noise hooks on the chosen activation-memory sites. Hooks are
+// gated, so attack gradients never see the noise (paper rule). With
+// kWeights (the Fig. 5 ablation) it instead corrupts the k-th weight layer's
+// parameters once for the k-th chosen site, as if the weight memory were
+// read through erroneous 6T cells.
 #pragma once
 
 #include "hw/backend.hpp"
@@ -16,8 +20,12 @@
 
 namespace rhw::hw {
 
+// Which memory the hybrid words hold.
+enum class SramMemory { kActivations, kWeights };
+
 struct SramBackendConfig {
   double vdd = 0.68;
+  SramMemory memory = SramMemory::kActivations;
   uint64_t seed = 0x5AA0;
   sram::BitErrorModel ber;
   // Mode 1: explicit site choices (site_index into the model's site list).

@@ -146,16 +146,15 @@ TrainedModel get_trained(const std::string& arch,
   if (rhw::file_exists(path)) {
     nn::load_model(*out.model.net, path);
     out.model.net->set_training(false);
-    out.test_accuracy = evaluate_accuracy(*out.model.net, data.test);
     return out;
   }
   std::printf("[zoo] training %s on %s (no cache at %s)...\n", arch.c_str(),
               dataset_name.c_str(), path.c_str());
   std::fflush(stdout);
-  out.test_accuracy = train_model(out.model, data, cfg);
+  const double test_accuracy = train_model(out.model, data, cfg);
   nn::save_model(*out.model.net, path);
   std::printf("[zoo] %s/%s trained: clean test accuracy %.2f%%\n", arch.c_str(),
-              dataset_name.c_str(), 100.0 * out.test_accuracy);
+              dataset_name.c_str(), 100.0 * test_accuracy);
   std::fflush(stdout);
   return out;
 }

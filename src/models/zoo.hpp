@@ -54,12 +54,12 @@ double train_model(Model& model, const data::SynthCifar& data,
 
 struct TrainedModel {
   Model model;
-  double test_accuracy = 0.0;  // clean accuracy on data.test
 };
 
 // Load-or-train entry point used by all experiments. dataset_name is the key
 // for the cache file ("synth-c10" / "synth-c100"). Without an explicit
-// config, default_train_config(arch, classes) is used.
+// config, default_train_config(arch, classes) is used. A cache hit only
+// loads the weights; it runs no evaluation.
 TrainedModel get_trained(const std::string& arch,
                          const std::string& dataset_name,
                          const data::SynthCifar& data,

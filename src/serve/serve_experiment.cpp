@@ -216,22 +216,7 @@ void run_serve_panel(const exp::ExperimentSpec& spec, exp::PanelContext& pc,
   w.field("schema", "rhw-serve-v1");
   w.field("figure", pc.tag);
   w.key("experiment");
-  if (stamp.preset.empty()) {
-    w.null_value();
-  } else {
-    w.begin_object();
-    w.field("preset", stamp.preset);
-    w.field("command", stamp.command());
-    w.key("overrides");
-    w.begin_array();
-    for (const auto& token : stamp.overrides) w.value(token);
-    w.end_array();
-    w.key("canonical");
-    w.begin_array();
-    for (const auto& token : stamp.canonical) w.value(token);
-    w.end_array();
-    w.end_object();
-  }
+  stamp.write_json(w);
   w.field("engine", spec.engine);
   w.field("seed", spec.seed);
   w.field("lanes", static_cast<int64_t>(lanes));

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -241,8 +242,10 @@ ServeReport Server::report() const {
   report.p99_us = latency_.percentile(99.0);
   report.max_us = latency_.max();
   for (const Reply& reply : replies_) {
-    report.digest ^= derive_stream_seed(
-        reply.id, static_cast<uint64_t>(reply.predicted) + 1);
+    const uint64_t result =
+        uint64_t{std::bit_cast<uint32_t>(reply.score)} << 32 |
+        static_cast<uint32_t>(reply.predicted + 1);
+    report.digest ^= derive_stream_seed(reply.id, result);
   }
   return report;
 }

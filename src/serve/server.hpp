@@ -85,9 +85,11 @@ struct ServeReport {
   uint64_t p95_us = 0;
   uint64_t p99_us = 0;
   uint64_t max_us = 0;
-  // Order-independent fold of every (id, predicted) pair: two runs served
-  // the same results iff their digests match, regardless of completion
-  // order. The cheap request-level determinism check.
+  // Order-independent fold of every (id, predicted, score bits) triple: two
+  // runs served the same results iff their digests match, regardless of
+  // completion order. The score's bit pattern makes it see noise that moves
+  // a logit without flipping the argmax. The cheap request-level
+  // determinism check.
   uint64_t digest = 0;
   bool stochastic = false;
 };

@@ -28,7 +28,9 @@ namespace rhw::sram {
 
 struct SelectorConfig {
   double vdd = 0.68;
-  float epsilon = 0.1f;                // FGSM strength for the sweep
+  // FGSM strength for the sweep; 0 picks it by the test set's class count
+  // (0.04 above 50 classes, else 0.1).
+  float epsilon = 0.f;
   int64_t eval_count = 256;            // test-subset size for the sweep
   double improvement_threshold = 5.0;  // percent over baseline (paper: 5%)
   int max_shortlist = 6;               // cap before subset enumeration
@@ -44,6 +46,7 @@ struct SiteChoice {
 };
 
 struct SelectionResult {
+  float epsilon = 0.f;              // FGSM strength the sweep used
   double baseline_clean_acc = 0.0;  // percent, no noise
   double baseline_adv_acc = 0.0;    // percent, no noise
   std::vector<SiteChoice> per_site_best;  // one per site, sweep stage
@@ -82,11 +85,5 @@ void apply_selection(models::Model& model,
 // Clears hooks from every listed site.
 void clear_all_site_hooks(std::span<const models::ActivationSite> sites);
 void clear_all_site_hooks(models::Model& model);
-
-// Text-file persistence so benches can share one methodology run (the sweep
-// is the most expensive part of the Table I/II pipeline).
-void save_selection(const std::string& path, const SelectionResult& result);
-// Returns false when the file is absent/corrupt.
-bool load_selection(const std::string& path, SelectionResult* result);
 
 }  // namespace rhw::sram

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "data/synth_cifar.hpp"
@@ -23,12 +24,14 @@
 namespace rhw::defenses {
 namespace {
 
-// The cheapest spec each builtin key accepts. A key missing here fails the
-// property test until its spec is added.
-const std::map<std::string, std::string> kHwSpecs{
-    {"ideal", "ideal"},
-    {"sram", "sram:vdd=0.6,eps=0.05,eval_count=16"},
-    {"xbar", "xbar:size=16"},
+// The cheapest specs each builtin key accepts, one per mode of the key. A
+// key missing here fails the property test until its spec is added.
+const std::map<std::string, std::vector<std::string>> kHwSpecs{
+    {"ideal", {"ideal"}},
+    {"sram",
+     {"sram:vdd=0.6,eps=0.05,eval_count=16",
+      "sram:vdd=0.6,eps=0.05,eval_count=16,memory=weights"}},
+    {"xbar", {"xbar:size=16"}},
 };
 const std::map<std::string, std::string> kDefenseSpecs{
     {"none", "none"},  // the bare arm
@@ -114,13 +117,15 @@ TEST_F(PreparedArmTest, ReplicaReproducesPrototypeForEveryArm) {
   const auto defense_keys = DefenseRegistry::instance().keys();
   for (const std::string& hw_key : hw::BackendRegistry::instance().keys()) {
     ASSERT_TRUE(kHwSpecs.count(hw_key)) << "no cheap spec for " << hw_key;
-    for (const std::string& defense_key : defense_keys) {
-      ASSERT_TRUE(kDefenseSpecs.count(defense_key))
-          << "no cheap spec for " << defense_key;
-      SCOPED_TRACE(hw_key + " + " + defense_key);
-      expect_same_serving(build_pair(*model_, kHwSpecs.at(hw_key),
-                                     kDefenseSpecs.at(defense_key),
-                                     data_->test));
+    for (const std::string& hw_spec : kHwSpecs.at(hw_key)) {
+      for (const std::string& defense_key : defense_keys) {
+        ASSERT_TRUE(kDefenseSpecs.count(defense_key))
+            << "no cheap spec for " << defense_key;
+        SCOPED_TRACE(hw_spec + " + " + defense_key);
+        expect_same_serving(build_pair(*model_, hw_spec,
+                                       kDefenseSpecs.at(defense_key),
+                                       data_->test));
+      }
     }
   }
 }
@@ -140,11 +145,44 @@ TEST_F(PreparedArmTest, EmptyCalibratedSramSelectionReplicatesEmpty) {
   for (auto& label : calibration.labels) label = 0;
 
   const ArmPair pair =
-      build_pair(pinned, kHwSpecs.at("sram"), "none", calibration);
+      build_pair(pinned, kHwSpecs.at("sram").front(), "none", calibration);
   for (const PreparedArm* arm : {&pair.prototype, &pair.replica}) {
     const auto* sram = dynamic_cast<const hw::SramBackend*>(arm->inner.get());
     ASSERT_NE(sram, nullptr);
     EXPECT_TRUE(sram->selection().empty());
+    for (const auto& site : arm->model.sites) {
+      EXPECT_FALSE(site.module->has_post_hook()) << site.label;
+    }
+  }
+  expect_same_serving(pair);
+}
+
+// memory=weights puts the hybrid words in the weight memories: prepare()
+// corrupts the k-th weight layer once per chosen site and installs no
+// activation hook, so its replicas serve deterministic logits. Uncalibrated,
+// it takes the two fallback sites, i.e. corrupts the first two layers.
+TEST_F(PreparedArmTest, WeightMemorySramCorruptsWeightsAndInstallsNoHook) {
+  const ArmPair pair =
+      build_pair(*model_, "sram:vdd=0.6,num_8t=2,memory=weights", "none",
+                 data::Dataset{});
+  const auto baseline_layers = nn::collect_weight_layers(*model_->net);
+  for (const PreparedArm* arm : {&pair.prototype, &pair.replica}) {
+    const auto* sram = dynamic_cast<const hw::SramBackend*>(arm->inner.get());
+    ASSERT_NE(sram, nullptr);
+    ASSERT_EQ(sram->selection().size(), 2u);
+    for (const auto& site : arm->model.sites) {
+      EXPECT_FALSE(site.module->has_post_hook()) << site.label;
+    }
+    const auto layers = nn::collect_weight_layers(*arm->model.net);
+    ASSERT_EQ(layers.size(), baseline_layers.size());
+    for (size_t k = 0; k < layers.size(); ++k) {
+      const Tensor& got = layers[k]->parameters().front()->value;
+      const Tensor& was = baseline_layers[k]->parameters().front()->value;
+      const bool same =
+          std::memcmp(got.data(), was.data(),
+                      sizeof(float) * static_cast<size_t>(got.numel())) == 0;
+      EXPECT_EQ(same, k >= 2) << "weight layer " << k;
+    }
   }
   expect_same_serving(pair);
 }

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hw/registry.hpp"
@@ -322,8 +324,10 @@ TEST(ExperimentGolden, Fig5ExpandsToThePreRedesignGrid) {
   EXPECT_EQ(spec.panels, panels);
   ASSERT_EQ(spec.backends.size(), 2u);
   EXPECT_EQ(spec.backends[0], (ExperimentBackend{"ideal", "ideal", "", false}));
-  EXPECT_EQ(spec.backends[1],
-            (ExperimentBackend{"noisy", "sram_selected:vdd=0.68", "", false}));
+  // The Fig. 4 methodology runs in the calibrated noisy arm's prototype.
+  EXPECT_EQ(spec.backends[1], (ExperimentBackend{
+                                  "noisy", "sram:vdd=0.68,eval_count=192", "",
+                                  true}));
   ASSERT_EQ(spec.modes.size(), 2u);
   EXPECT_EQ(spec.modes[0], (ExperimentMode{"Baseline", "ideal", "ideal"}));
   EXPECT_EQ(spec.modes[1], (ExperimentMode{"BitErrorNoise", "ideal", "noisy"}));
@@ -335,6 +339,49 @@ TEST(ExperimentGolden, Fig5ExpandsToThePreRedesignGrid) {
   EXPECT_EQ(spec.batch, 100);
   EXPECT_EQ(spec.eval_count, 256);
   EXPECT_EQ(spec.train, "zoo");
+  // fig5w differs only in the memory the hybrid words hold.
+  const ExperimentSpec weights = ExperimentRegistry::instance().preset("fig5w");
+  ASSERT_EQ(weights.backends.size(), 2u);
+  EXPECT_EQ(weights.backends[1],
+            (ExperimentBackend{"noisy",
+                               "sram:vdd=0.68,eval_count=192,memory=weights",
+                               "", true}));
+}
+
+// A calibration that selects no site installs no noise: on this 100-class
+// panel the methodology's shortlist is empty ("selected 0 sites"), so every
+// BitErrorNoise cell equals its Baseline cell bit for bit instead of
+// carrying the uncalibrated two-site fallback.
+TEST(ExperimentMethodology, EmptySelectionEvaluatesLikeTheIdealArm) {
+  const std::string out =
+      (std::filesystem::temp_directory_path() / "rhw_table1_empty.json")
+          .string();
+  const auto results = run_experiment(
+      "table1",
+      {"panels=vgg8:width=0.125,in=16/tiny:classes=100,train=10,test=4,size=16",
+       "train=quick:epochs=2,batch=50", "out=" + out});
+  std::filesystem::remove(out);
+  ASSERT_EQ(results.size(), 1u);
+  const SweepResult& result = results[0];
+  ASSERT_EQ(result.mode_labels,
+            (std::vector<std::string>{"Baseline", "BitErrorNoise"}));
+  std::map<std::tuple<size_t, size_t, int>, const SweepCell*> baseline;
+  for (const SweepCell& cell : result.cells) {
+    if (cell.mode == 0) {
+      baseline[{cell.attack, cell.eps_index, cell.trial}] = &cell;
+    }
+  }
+  size_t compared = 0;
+  for (const SweepCell& cell : result.cells) {
+    if (cell.mode != 1) continue;
+    const SweepCell* ideal = baseline.at({cell.attack, cell.eps_index,
+                                          cell.trial});
+    EXPECT_EQ(cell.clean_acc, ideal->clean_acc) << "cell " << cell.index;
+    EXPECT_EQ(cell.adv_acc, ideal->adv_acc) << "cell " << cell.index;
+    ++compared;
+  }
+  EXPECT_EQ(compared, baseline.size());
+  EXPECT_GT(compared, 0u);
 }
 
 TEST(ExperimentGolden, Fig8bcExpandsToThePreRedesignGrid) {

@@ -117,6 +117,15 @@ TEST(BackendRegistry, SramOptionsParse) {
   EXPECT_DOUBLE_EQ(sb->config().vdd, 0.8);
   EXPECT_EQ(sb->config().default_sites, 3);
   EXPECT_EQ(sb->config().default_word.num_8t, 6);
+  EXPECT_EQ(sb->config().memory, hw::SramMemory::kActivations);
+  EXPECT_EQ(sb->config().selector.epsilon, 0.f);  // by class count
+
+  auto weights = hw::make_backend("sram:memory=weights");
+  const auto* wb = dynamic_cast<const hw::SramBackend*>(weights.get());
+  ASSERT_NE(wb, nullptr);
+  EXPECT_EQ(wb->config().memory, hw::SramMemory::kWeights);
+  EXPECT_THROW(hw::make_backend("sram:memory=caches"),  // rhw-lint: allow(spec) stale on purpose
+               std::invalid_argument);
 }
 
 TEST(BackendRegistry, ModuleBeforePrepareThrows) {

@@ -171,12 +171,13 @@ class ServerTest : public ::testing::Test {
   // returns its replies sorted by id.
   static std::vector<Reply> serve_all(const ServeArm& arm, unsigned lanes,
                                       const std::vector<Tensor>& inputs,
-                                      ServeReport* report = nullptr) {
+                                      ServeReport* report = nullptr,
+                                      uint64_t seed = kSeed) {
     ServerConfig cfg;
     cfg.lanes = lanes;
     cfg.batch_max = 4;
     cfg.linger_us = 200;
-    cfg.seed = kSeed;
+    cfg.seed = seed;
     Server server(*model_, kWidth, kIn, arm, cfg);
     server.start();
     for (const Tensor& input : inputs) server.submit(input);
@@ -310,6 +311,28 @@ TEST_F(ServerTest, RepliesAreIdenticalAcrossLaneCounts) {
     EXPECT_EQ(one_report.digest, eight_report.digest) << hw;
     EXPECT_EQ(one_report.completed, inputs.size());
   }
+}
+
+// The digest sees noise that moves scores without flipping an argmax: two
+// seeds on a mildly noisy SRAM arm agree on every predicted class, yet their
+// digests differ because the scores' bit patterns do.
+TEST_F(ServerTest, DigestSeesNoiseThatFlipsNoArgmax) {
+  const std::vector<Tensor> inputs = eval_inputs(8);
+  const ServeArm arm = make_arm("sram:sites=2,num_8t=7,vdd=0.68", "");
+  ServeReport first_report, second_report;
+  const std::vector<Reply> first =
+      serve_all(arm, 1, inputs, &first_report, kSeed);
+  const std::vector<Reply> second =
+      serve_all(arm, 1, inputs, &second_report, kSeed + 1);
+  ASSERT_EQ(first.size(), inputs.size());
+  ASSERT_EQ(second.size(), inputs.size());
+  bool scores_differ = false;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_EQ(first[i].predicted, second[i].predicted) << "request " << i;
+    scores_differ = scores_differ || first[i].score != second[i].score;
+  }
+  ASSERT_TRUE(scores_differ);
+  EXPECT_NE(first_report.digest, second_report.digest);
 }
 
 // shutdown() drains: every submitted request completes even when the linger

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "data/synth_cifar.hpp"
+#include "hw/registry.hpp"
+#include "hw/sram_backend.hpp"
 #include "models/zoo.hpp"
 
 namespace rhw::sram {
@@ -116,6 +121,84 @@ TEST_F(SelectorTest, BaselineSanity) {
   const auto result = select_layers(*model_, data_->test, fast_config());
   EXPECT_GT(result.baseline_clean_acc, 50.0);
   EXPECT_LT(result.baseline_adv_acc, result.baseline_clean_acc);
+}
+
+// Every field of a selection, printed exactly, so two runs compare as one
+// string and a mismatch shows where they part.
+std::string describe(const SelectionResult& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "eps %.9g base %.17g/%.17g final %.17g/%.17g\n",
+                static_cast<double>(r.epsilon), r.baseline_clean_acc,
+                r.baseline_adv_acc, r.final_clean_acc, r.final_adv_acc);
+  std::string out = buf;
+  for (const auto* list : {&r.per_site_best, &r.shortlisted, &r.selected}) {
+    for (const SiteChoice& c : *list) {
+      std::snprintf(buf, sizeof buf, "%zu %s %d %.17g; ", c.site_index,
+                    c.site_label.c_str(), c.word.num_8t, c.adv_acc);
+      out += buf;
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// A calibrated `sram` arm runs the methodology at the class-count probe
+// epsilon (0.1 up to 50 classes, 0.04 above) and installs exactly its
+// choice: the same result select_layers gives with that epsilon explicit,
+// and a different one than the other probe gives.
+void expect_calibrated_arm_matches_selector(int64_t classes,
+                                            int64_t train_per_class,
+                                            int64_t test_per_class,
+                                            float probe, float other) {
+  data::SynthCifarConfig dcfg;
+  dcfg.num_classes = classes;
+  dcfg.train_per_class = train_per_class;
+  dcfg.test_per_class = test_per_class;
+  dcfg.image_size = 16;
+  const data::SynthCifar data = data::make_synth_cifar(dcfg);
+  models::Model model = models::build_model("vgg8", classes, 0.125f, 16);
+  models::TrainConfig tcfg;
+  tcfg.epochs = 2;
+  tcfg.batch_size = 50;
+  models::train_model(model, data, tcfg);
+
+  models::Model armed = models::clone_model(model, 0.125f, 16);
+  auto backend = hw::make_backend("sram:vdd=0.68,eval_count=64");
+  backend->prepare(armed, &data.test);
+  const auto* sram = dynamic_cast<const hw::SramBackend*>(backend.get());
+  ASSERT_NE(sram, nullptr);
+
+  SelectorConfig cfg;
+  cfg.eval_count = 64;
+  cfg.epsilon = probe;
+  models::Model probed = models::clone_model(model, 0.125f, 16);
+  const SelectionResult want = select_layers(probed, data.test, cfg);
+  EXPECT_EQ(sram->selection_result().epsilon, probe);
+  EXPECT_EQ(describe(sram->selection_result()), describe(want));
+
+  ASSERT_EQ(sram->selection().size(), want.selected.size());
+  for (size_t k = 0; k < want.selected.size(); ++k) {
+    EXPECT_EQ(sram->selection()[k].site_index, want.selected[k].site_index);
+    EXPECT_EQ(sram->selection()[k].word.num_8t, want.selected[k].word.num_8t);
+  }
+  for (size_t s = 0; s < armed.sites.size(); ++s) {
+    bool chosen = false;
+    for (const auto& c : want.selected) chosen = chosen || c.site_index == s;
+    EXPECT_EQ(armed.sites[s].module->has_post_hook(), chosen) << "site " << s;
+  }
+
+  cfg.epsilon = other;
+  models::Model other_probed = models::clone_model(model, 0.125f, 16);
+  EXPECT_NE(describe(select_layers(other_probed, data.test, cfg)),
+            describe(want));
+}
+
+TEST(CalibratedSramArm, TenClassPanelProbesAtEpsilonPointOne) {
+  expect_calibrated_arm_matches_selector(10, 40, 10, 0.1f, 0.04f);
+}
+
+TEST(CalibratedSramArm, HundredClassPanelProbesAtEpsilonPointZeroFour) {
+  expect_calibrated_arm_matches_selector(100, 10, 2, 0.04f, 0.1f);
 }
 
 }  // namespace

@@ -155,20 +155,6 @@ void check_parity(const std::string& registry_name,
 void check_registry_doc_parity(const fs::path& root,
                                std::vector<Failure>& failures,
                                size_t& checked) {
-  // Preset validation registers runtime backend keys (fig5's
-  // `sram_selected` / fig5w's `sram_weight_noise` stand-ins). Force it for
-  // every preset up front so the key set — and therefore this check — does
-  // not depend on which spec literals happened to be validated earlier.
-  // Presets that fail to validate are someone else's failure (rhw_run
-  // --list, docs_check); parity only needs the registration side effect.
-  for (const std::string& key :
-       rhw::exp::ExperimentRegistry::instance().keys()) {
-    try {
-      rhw::exp::ExperimentRegistry::instance().preset(key).validate();
-    } catch (const std::exception&) {
-    }
-  }
-
   struct Pair {
     std::string name;
     std::vector<std::string> keys;
